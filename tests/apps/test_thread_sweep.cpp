@@ -84,7 +84,9 @@ TEST_P(ThreadSweep, CannealStaysNondeterministic)
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweep,
                          ::testing::Values(2, 4, 6, 8, 12),
                          [](const auto &info) {
-                             return "t" + std::to_string(info.param);
+                             std::string name = "t";
+                             name += std::to_string(info.param);
+                             return name;
                          });
 
 TEST(Oversubscription, MoreThreadsThanCoresStillChecksCorrectly)

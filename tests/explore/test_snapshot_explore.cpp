@@ -113,8 +113,9 @@ TEST(SnapshotExplore, WarmEqualsColdEveryPruneMode)
             const ExploreResult cold =
                 explore(factory, machineConfig(), cold_cfg);
             expectSameOutcome(warm, cold, "prune-mode sweep");
-            if (PrefixEngine::supported())
+            if (PrefixEngine::supported()) {
                 EXPECT_TRUE(warm.stats.checkpointing);
+            }
             EXPECT_FALSE(cold.stats.checkpointing);
         }
     }
@@ -153,9 +154,10 @@ TEST(SnapshotExplore, TinyBudgetEvictsButStaysExact)
     const ExploreResult cold =
         explore(racyFactory(), machineConfig(), cold_cfg);
     expectSameOutcome(warm, cold, "tiny budget");
-    if (sim::Machine::snapshotSupported())
+    if (sim::Machine::snapshotSupported()) {
         EXPECT_GT(warm.stats.checkpointsEvicted, 0u)
             << "a 64 KiB budget must force evictions here";
+    }
 }
 
 TEST(SnapshotExplore, StrideOneMatchesDefaultStride)

@@ -183,7 +183,9 @@ TEST_P(RandomPrograms, RunsAreReproducible)
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,
                          ::testing::Range<std::uint64_t>(1, 13),
                          [](const auto &info) {
-                             return "p" + std::to_string(info.param);
+                             std::string name = "p";
+                             name += std::to_string(info.param);
+                             return name;
                          });
 
 } // namespace

@@ -172,7 +172,7 @@ struct Bank
                     at, 1, alphabet[next() % (sizeof alphabet - 1)]);
             }
             if (mutated.empty())
-                mutated = "{";
+                mutated.push_back('{');
         }
         expectStable(mutated);
     }

@@ -116,9 +116,10 @@ TEST(RaceDetector, InstrumentationStoresAreNotAnalyzed)
         [](sim::ThreadCtx &ctx) {
             // Disjoint per-thread heap work; the only shared-looking
             // stores are the checker's own zero/scrub stores.
-            const Addr block = ctx.malloc(
-                "t" + std::to_string(ctx.tid()),
-                mem::tArray(mem::tInt64(), 8));
+            std::string site = "t";
+            site += std::to_string(ctx.tid());
+            const Addr block =
+                ctx.malloc(site, mem::tArray(mem::tInt64(), 8));
             for (int i = 0; i < 8; ++i)
                 ctx.store<std::int64_t>(block + 8 * i, i);
             ctx.free(block);
