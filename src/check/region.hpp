@@ -26,8 +26,13 @@ hashing::ModHash hashRawRegion(const hashing::StateHasher &hasher,
 /**
  * Hash a region of shape @p type at @p addr from @p image: float/double
  * scalars pass through the hasher's round-off unit, everything else is
- * hashed bit-by-bit. A null @p type falls back to raw hashing of @p len
+ * hashed bit-by-bit. A typed region covers exactly type->size() bytes
+ * (@p len is ignored); a null @p type falls back to raw hashing of @p len
  * bytes.
+ *
+ * The result equals the per-scalar fold (one valueHash per scalar, pads
+ * hashed raw), computed in one pass: one read of the region, its FP
+ * scalars rounded in place, one span hash.
  */
 hashing::ModHash hashTypedRegion(const hashing::StateHasher &hasher,
                                  const mem::SparseMemory &image, Addr addr,

@@ -1,116 +1,24 @@
 #include "hashing/fp_round.hpp"
 
-#include <cmath>
-#include <cstring>
-
-#include "support/logging.hpp"
-
 namespace icheck::hashing
 {
-
-namespace
-{
-
-/** Floor @p value to @p digits decimal digits, stable around zero. */
-double
-floorToDigits(double value, int digits)
-{
-    if (!std::isfinite(value))
-        return value;
-    double scale = std::pow(10.0, digits);
-    double scaled = value * scale;
-    // Guard against overflow of the scaled value: leave huge magnitudes
-    // untouched, their absolute differences dwarf the rounding grain anyway.
-    if (std::fabs(scaled) >= 0x1.0p62)
-        return value;
-    double floored = std::floor(scaled) / scale;
-    // Normalize -0.0 to +0.0 so that runs differing only in signed zero
-    // compare equal.
-    return floored == 0.0 ? 0.0 : floored;
-}
-
-} // namespace
 
 double
 roundDouble(double value, const FpRoundMode &mode)
 {
-    switch (mode.kind) {
-      case FpRoundKind::None:
-        return value;
-      case FpRoundKind::MantissaMask: {
-        ICHECK_ASSERT(mode.mantissaBits >= 0 && mode.mantissaBits <= 52,
-                      "double mantissa mask out of range");
-        std::uint64_t bits;
-        std::memcpy(&bits, &value, sizeof(bits));
-        const std::uint64_t keep =
-            mode.mantissaBits == 0
-                ? ~std::uint64_t{0}
-                : ~((std::uint64_t{1} << mode.mantissaBits) - 1);
-        bits &= keep;
-        double out;
-        std::memcpy(&out, &bits, sizeof(out));
-        return out == 0.0 ? 0.0 : out;
-      }
-      case FpRoundKind::DecimalFloor:
-        return floorToDigits(value, mode.decimalDigits);
-    }
-    ICHECK_PANIC("unknown FpRoundKind");
+    return FpRounder(mode).roundDouble(value);
 }
 
 float
 roundFloat(float value, const FpRoundMode &mode)
 {
-    switch (mode.kind) {
-      case FpRoundKind::None:
-        return value;
-      case FpRoundKind::MantissaMask: {
-        // Scale the mask to the float mantissa: masking M bits of a double
-        // corresponds to M - 29 bits of a float's 23-bit mantissa.
-        int bits_to_mask = mode.mantissaBits - 29;
-        if (bits_to_mask < 0)
-            bits_to_mask = mode.mantissaBits > 0 ? 1 : 0;
-        if (bits_to_mask > 23)
-            bits_to_mask = 23;
-        std::uint32_t bits;
-        std::memcpy(&bits, &value, sizeof(bits));
-        const std::uint32_t keep =
-            bits_to_mask == 0
-                ? ~std::uint32_t{0}
-                : ~((std::uint32_t{1} << bits_to_mask) - 1);
-        bits &= keep;
-        float out;
-        std::memcpy(&out, &bits, sizeof(out));
-        return out == 0.0f ? 0.0f : out;
-      }
-      case FpRoundKind::DecimalFloor:
-        return static_cast<float>(
-            floorToDigits(static_cast<double>(value), mode.decimalDigits));
-    }
-    ICHECK_PANIC("unknown FpRoundKind");
+    return FpRounder(mode).roundFloat(value);
 }
 
 std::uint64_t
 roundFpBits(std::uint64_t bits, unsigned width, const FpRoundMode &mode)
 {
-    if (mode.kind == FpRoundKind::None)
-        return bits;
-    if (width == 4) {
-        std::uint32_t raw = static_cast<std::uint32_t>(bits);
-        float value;
-        std::memcpy(&value, &raw, sizeof(value));
-        value = roundFloat(value, mode);
-        std::memcpy(&raw, &value, sizeof(raw));
-        return raw;
-    }
-    if (width == 8) {
-        double value;
-        std::memcpy(&value, &bits, sizeof(value));
-        value = roundDouble(value, mode);
-        std::uint64_t out;
-        std::memcpy(&out, &value, sizeof(out));
-        return out;
-    }
-    ICHECK_PANIC("FP width must be 4 or 8, got ", width);
+    return FpRounder(mode).roundBits(bits, width);
 }
 
 } // namespace icheck::hashing

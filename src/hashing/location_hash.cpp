@@ -50,6 +50,15 @@ LocationHasher::hashSpan(Addr addr, const std::uint8_t *bytes,
     return sum;
 }
 
+void
+LocationHasher::hashSpanPair(Addr addr, const std::uint8_t *oldBytes,
+                             const std::uint8_t *newBytes, std::size_t len,
+                             ModHash &oldHash, ModHash &newHash) const
+{
+    oldHash = hashSpan(addr, oldBytes, len);
+    newHash = hashSpan(addr, newBytes, len);
+}
+
 ModHash
 Crc64LocationHasher::hashByte(Addr addr, std::uint8_t value) const
 {
@@ -90,6 +99,44 @@ Crc64LocationHasher::hashSpan(Addr addr, const std::uint8_t *bytes,
         i += chunk;
     }
     return sum;
+}
+
+void
+Crc64LocationHasher::hashSpanPair(Addr addr, const std::uint8_t *oldBytes,
+                                  const std::uint8_t *newBytes,
+                                  std::size_t len, ModHash &oldHash,
+                                  ModHash &newHash) const
+{
+    // hashSpan's loop over both spans at once: the address suffix and the
+    // per-byte address CRC are shared by the two halves of a store.
+    const auto &t = detail::crc64Tables.t;
+    ModHash old_sum;
+    ModHash new_sum;
+    std::size_t i = 0;
+    while (i < len) {
+        const Addr base = addr + i;
+        const std::uint64_t suffix = addrSuffixCrc(base >> 8);
+        const std::size_t low = base & 0xff;
+        std::size_t chunk = 0x100 - low;
+        if (chunk > len - i)
+            chunk = len - i;
+        for (std::size_t k = 0; k < chunk; ++k) {
+            const std::uint8_t old_value = oldBytes[i + k];
+            const std::uint8_t new_value = newBytes[i + k];
+            if ((old_value | new_value) == 0)
+                continue;
+            const std::uint64_t addr_crc = t[7][low + k] ^ suffix;
+            const std::uint64_t shifted = addr_crc << 8;
+            const std::uint64_t top = addr_crc >> 56;
+            if (old_value != 0)
+                old_sum += ModHash(shifted ^ t[0][(top ^ old_value) & 0xff]);
+            if (new_value != 0)
+                new_sum += ModHash(shifted ^ t[0][(top ^ new_value) & 0xff]);
+        }
+        i += chunk;
+    }
+    oldHash = old_sum;
+    newHash = new_sum;
 }
 
 ModHash

@@ -57,6 +57,17 @@ class LocationHasher
     virtual ModHash hashSpan(Addr addr, const std::uint8_t *bytes,
                              std::size_t len) const;
 
+    /**
+     * Both halves of a store in one call: @p oldHash = hashSpan(addr,
+     * oldBytes, len) and @p newHash = hashSpan(addr, newBytes, len). The
+     * two spans share every address, so overrides may compute the
+     * address-dependent part of the hash once for both; they must stay
+     * bit-identical to the two separate calls this default makes.
+     */
+    virtual void hashSpanPair(Addr addr, const std::uint8_t *oldBytes,
+                              const std::uint8_t *newBytes, std::size_t len,
+                              ModHash &oldHash, ModHash &newHash) const;
+
     /** Human-readable implementation name. */
     virtual std::string name() const = 0;
 };
@@ -71,6 +82,9 @@ class Crc64LocationHasher : public LocationHasher
     ModHash hashByte(Addr addr, std::uint8_t value) const override;
     ModHash hashSpan(Addr addr, const std::uint8_t *bytes,
                      std::size_t len) const override;
+    void hashSpanPair(Addr addr, const std::uint8_t *oldBytes,
+                      const std::uint8_t *newBytes, std::size_t len,
+                      ModHash &oldHash, ModHash &newHash) const override;
     std::string name() const override { return "crc64"; }
 };
 

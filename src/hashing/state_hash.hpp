@@ -13,6 +13,10 @@
  *  - storeDelta: the incremental update ominus h(a, old) oplus h(a, new)
  *    contributed by one store.
  *
+ * Both halves of a store hash the same address, so valueHashPair computes
+ * them in one pass (LocationHasher::hashSpanPair) and, when the two values
+ * round to the same bits, hashes only once.
+ *
  * The same StateHasher instance drives the hardware MHM model, the
  * software-incremental checker, and the traversal checker, which is what
  * makes "all three schemes compute the same hash" a testable property.
@@ -23,6 +27,7 @@
 #include "hashing/fp_round.hpp"
 #include "hashing/location_hash.hpp"
 #include "hashing/mod_hash.hpp"
+#include "support/logging.hpp"
 #include "support/types.hpp"
 
 namespace icheck::hashing
@@ -58,11 +63,14 @@ class StateHasher
      * @param mode   FP rounding applied to Float/Double values.
      */
     StateHasher(const LocationHasher &hasher, FpRoundMode mode)
-        : locHasher(hasher), roundMode(mode)
+        : locHasher(hasher), rounder(mode)
     {}
 
     /** The rounding mode in effect. */
-    const FpRoundMode &mode() const { return roundMode; }
+    const FpRoundMode &mode() const { return rounder.mode(); }
+
+    /** The round-off unit, configured once for mode(). */
+    const FpRounder &roundOff() const { return rounder; }
 
     /** The underlying per-location hasher. */
     const LocationHasher &hasher() const { return locHasher; }
@@ -73,6 +81,16 @@ class StateHasher
      */
     ModHash valueHash(Addr addr, std::uint64_t rawBits, unsigned width,
                       ValueClass cls) const;
+
+    /**
+     * Both halves of a store in one pass: @p oldHash = valueHash(addr,
+     * oldBits, ...) and @p newHash = valueHash(addr, newBits, ...). Each
+     * value is rounded once; equal rounded values are hashed once.
+     */
+    void valueHashPair(Addr addr, std::uint64_t oldBits,
+                       std::uint64_t newBits, unsigned width,
+                       ValueClass cls, ModHash &oldHash,
+                       ModHash &newHash) const;
 
     /** Hash of @p len raw bytes at simulated address @p addr. */
     ModHash spanHash(Addr addr, const std::uint8_t *bytes,
@@ -86,13 +104,28 @@ class StateHasher
     storeDelta(Addr addr, std::uint64_t oldBits, std::uint64_t newBits,
                unsigned width, ValueClass cls) const
     {
-        return valueHash(addr, newBits, width, cls)
-             - valueHash(addr, oldBits, width, cls);
+        ModHash old_hash;
+        ModHash new_hash;
+        valueHashPair(addr, oldBits, newBits, width, cls, old_hash,
+                      new_hash);
+        return new_hash - old_hash;
     }
 
   private:
+    /** @p rawBits after the round-off unit, if @p cls is FP. */
+    std::uint64_t
+    roundedBits(std::uint64_t rawBits, unsigned width, ValueClass cls) const
+    {
+        ICHECK_ASSERT(width >= 1 && width <= 8, "store width must be 1..8");
+        if (!isFpClass(cls))
+            return rawBits;
+        const unsigned fp_width = cls == ValueClass::Float ? 4 : 8;
+        ICHECK_ASSERT(width == fp_width, "FP store width mismatch");
+        return rounder.roundBits(rawBits, fp_width);
+    }
+
     const LocationHasher &locHasher;
-    FpRoundMode roundMode;
+    FpRounder rounder;
 };
 
 } // namespace icheck::hashing

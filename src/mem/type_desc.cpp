@@ -40,6 +40,8 @@ TypeDescriptor::scalar(ScalarKind kind, std::size_t pad_bytes)
     desc->shape = Shape::Scalar;
     desc->kind = kind;
     desc->byteSize = kind == ScalarKind::Pad ? pad_bytes : scalarWidth(kind);
+    desc->containsFp =
+        kind == ScalarKind::Float || kind == ScalarKind::Double;
     ICHECK_ASSERT(desc->byteSize > 0, "empty scalar");
     return desc;
 }
@@ -54,6 +56,7 @@ TypeDescriptor::array(std::shared_ptr<const TypeDescriptor> elem,
     desc->element = std::move(elem);
     desc->count = count;
     desc->byteSize = desc->element->size() * count;
+    desc->containsFp = count > 0 && desc->element->hasFp();
     return desc;
 }
 
@@ -68,48 +71,9 @@ TypeDescriptor::record(
     for (const auto &field : desc->fields) {
         ICHECK_ASSERT(field != nullptr, "null struct field");
         desc->byteSize += field->size();
+        desc->containsFp = desc->containsFp || field->hasFp();
     }
     return desc;
-}
-
-void
-TypeDescriptor::forEachScalarAt(
-    std::size_t base,
-    const std::function<void(std::size_t, ScalarKind, unsigned)> &visit)
-    const
-{
-    switch (shape) {
-      case Shape::Scalar:
-        if (kind == ScalarKind::Pad) {
-            visit(base, ScalarKind::Pad, static_cast<unsigned>(byteSize));
-        } else {
-            visit(base, kind, scalarWidth(kind));
-        }
-        return;
-      case Shape::Array: {
-        const std::size_t elem_size = element->size();
-        for (std::size_t i = 0; i < count; ++i)
-            element->forEachScalarAt(base + i * elem_size, visit);
-        return;
-      }
-      case Shape::Struct: {
-        std::size_t offset = base;
-        for (const auto &field : fields) {
-            field->forEachScalarAt(offset, visit);
-            offset += field->size();
-        }
-        return;
-      }
-    }
-    ICHECK_PANIC("unknown descriptor shape");
-}
-
-void
-TypeDescriptor::forEachScalar(
-    const std::function<void(std::size_t, ScalarKind, unsigned)> &visit)
-    const
-{
-    forEachScalarAt(0, visit);
 }
 
 std::string

@@ -13,7 +13,6 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,13 +68,30 @@ class TypeDescriptor
     /** Total size in bytes. */
     std::size_t size() const { return byteSize; }
 
+    /** Whether any Float or Double scalar lies inside this shape. */
+    bool hasFp() const { return containsFp; }
+
     /**
-     * Visit every scalar field as (offset, kind, width) in layout order.
-     * Pad fields are visited too (callers typically hash them raw).
+     * Visit every scalar field as visit(offset, kind, width) in layout
+     * order. Pad fields are visited too (callers typically hash them raw).
      */
-    void forEachScalar(
-        const std::function<void(std::size_t offset, ScalarKind kind,
-                                 unsigned width)> &visit) const;
+    template <typename Visit>
+    void
+    forEachScalar(Visit &&visit) const
+    {
+        walk<false>(0, visit);
+    }
+
+    /**
+     * Visit only the Float and Double scalars, in layout order, skipping
+     * every FP-free subtree without descending into it.
+     */
+    template <typename Visit>
+    void
+    forEachFpScalar(Visit &&visit) const
+    {
+        walk<true>(0, visit);
+    }
 
     /** Short human-readable rendering ("f64[128]" etc.), for reports. */
     std::string describe() const;
@@ -85,15 +101,47 @@ class TypeDescriptor
 
     TypeDescriptor() = default;
 
-    void forEachScalarAt(
-        std::size_t base,
-        const std::function<void(std::size_t, ScalarKind, unsigned)> &visit)
-        const;
+    template <bool FpOnly, typename Visit>
+    void
+    walk(std::size_t base, Visit &visit) const
+    {
+        if (FpOnly && !containsFp)
+            return;
+        switch (shape) {
+          case Shape::Scalar:
+            // A scalar's size is its width (a Pad's is its byte count).
+            visit(base, kind, static_cast<unsigned>(byteSize));
+            return;
+          case Shape::Array: {
+            const std::size_t elem_size = element->size();
+            if (element->shape == Shape::Scalar) {
+                // Arrays of scalars (f64[N] and the like) are the bulk of
+                // every image: visit them without a call per element.
+                for (std::size_t i = 0; i < count; ++i)
+                    visit(base + i * elem_size, element->kind,
+                          static_cast<unsigned>(elem_size));
+                return;
+            }
+            for (std::size_t i = 0; i < count; ++i)
+                element->walk<FpOnly>(base + i * elem_size, visit);
+            return;
+          }
+          case Shape::Struct: {
+            std::size_t offset = base;
+            for (const auto &field : fields) {
+                field->walk<FpOnly>(offset, visit);
+                offset += field->size();
+            }
+            return;
+          }
+        }
+    }
 
     Shape shape = Shape::Scalar;
     ScalarKind kind = ScalarKind::Int8;
     std::size_t byteSize = 1;
     std::size_t count = 0;
+    bool containsFp = false;
     std::shared_ptr<const TypeDescriptor> element;
     std::vector<std::shared_ptr<const TypeDescriptor>> fields;
 };

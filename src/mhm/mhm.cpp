@@ -53,9 +53,7 @@ hashing::ModHash
 Mhm::hashValue(Addr addr, std::uint64_t bits, unsigned width,
                hashing::ValueClass cls) const
 {
-    const hashing::StateHasher &pipeline =
-        fpRoundingOn ? roundedPipeline : rawPipeline;
-    return pipeline.valueHash(addr, bits, width, cls);
+    return pipeline().valueHash(addr, bits, width, cls);
 }
 
 void
@@ -65,10 +63,15 @@ Mhm::observeStore(Addr vaddr, std::uint64_t old_bits,
 {
     if (!hashingOn)
         return;
-    // The two halves are independent group elements; feed them separately
-    // so a clustered design can route them to different clusters (Fig 3b).
-    accumulate(-hashValue(vaddr, old_bits, width, cls));
-    accumulate(hashValue(vaddr, new_bits, width, cls));
+    // Both halves hash the same address, so one pass computes them; they
+    // stay independent group elements, fed separately so a clustered
+    // design can route them to different clusters (Fig 3b).
+    hashing::ModHash old_hash;
+    hashing::ModHash new_hash;
+    pipeline().valueHashPair(vaddr, old_bits, new_bits, width, cls,
+                             old_hash, new_hash);
+    accumulate(-old_hash);
+    accumulate(new_hash);
     ++nStores;
     nBytes += 2ULL * width;
 }

@@ -180,8 +180,15 @@ class Mhm
                                hashing::ValueClass cls) const;
 
   private:
-    /** Pre-built pipelines for both round-off states: hashValue picks one
-     *  instead of constructing a StateHasher per drained store. */
+    /** The pipeline for the current round-off state. */
+    const hashing::StateHasher &
+    pipeline() const
+    {
+        return fpRoundingOn ? roundedPipeline : rawPipeline;
+    }
+
+    /** Pre-built pipelines for both round-off states: pipeline() picks
+     *  one instead of constructing a StateHasher per drained store. */
     hashing::StateHasher roundedPipeline;
     hashing::StateHasher rawPipeline;
     bool hashingOn = false;

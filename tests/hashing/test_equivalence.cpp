@@ -2,18 +2,24 @@
  * @file
  * Equivalence proofs for every hot-path hashing shortcut.
  *
- * The optimized pipeline takes three liberties with the naive definitions:
+ * The optimized pipeline takes these liberties with the naive definitions:
  * slicing-by-8 CRC instead of the byte-at-a-time recurrence, a hoisted
- * address-prefix CRC inside Crc64LocationHasher::hashSpan, and one batched
- * hashSpan call per store instead of a per-byte virtual hashByte fold.
- * Every checkpoint hash in the repo flows through these shortcuts, so this
- * suite pins them against independent naive references (kept alive here,
- * not in the library) plus golden vectors frozen from the canonical
- * definition — any silent change to the hash function fails loudly.
+ * address-prefix CRC inside Crc64LocationHasher::hashSpan, one batched
+ * hashSpan call per store instead of a per-byte virtual hashByte fold,
+ * both halves of a store hashed in one hashSpanPair pass (once when they
+ * round equal), and a decimal floor with a cached scale and no library
+ * floor call. Every checkpoint hash in the repo flows through these
+ * shortcuts, so this suite pins them against independent naive references
+ * (kept alive here, not in the library) plus golden vectors frozen from
+ * the canonical definition — any silent change to the hash function fails
+ * loudly.
  */
 
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <limits>
 #include <vector>
 
 #include "hashing/crc64.hpp"
@@ -79,11 +85,9 @@ patternBytes(std::size_t len, std::uint64_t seed)
 {
     SplitMix64 gen(seed);
     std::vector<std::uint8_t> bytes(len);
-    for (std::size_t i = 0; i < len; ++i) {
+    for (std::uint8_t &byte : bytes) {
         const std::uint64_t word = gen.next();
-        bytes[i] = (word % 5 == 0)
-                       ? 0
-                       : static_cast<std::uint8_t>(word >> 32);
+        byte = (word % 5 == 0) ? 0 : static_cast<std::uint8_t>(word >> 32);
     }
     return bytes;
 }
@@ -261,6 +265,235 @@ TEST(ValueHashEquivalence, AllWidthsAndClassesMatchByteFold)
                 bytes[i] = static_cast<std::uint8_t>(rounded >> (8 * i));
             EXPECT_EQ(pipeline.valueHash(addr, fp.raw, fp.width, fp.cls),
                       referenceFold(locHasher, addr, bytes, fp.width));
+        }
+    }
+}
+
+/** Exercise one hasher's hashSpanPair against two hashSpan calls. */
+void
+checkSpanPairs(const LocationHasher &hasher)
+{
+    const auto expectPair = [&](Addr addr, const std::uint8_t *old_bytes,
+                                const std::uint8_t *new_bytes,
+                                std::size_t len) {
+        ModHash old_hash{0x5a5a};
+        ModHash new_hash{0xa5a5};
+        hasher.hashSpanPair(addr, old_bytes, new_bytes, len, old_hash,
+                            new_hash);
+        EXPECT_EQ(old_hash, hasher.hashSpan(addr, old_bytes, len))
+            << hasher.name() << " addr " << addr << " len " << len;
+        EXPECT_EQ(new_hash, hasher.hashSpan(addr, new_bytes, len))
+            << hasher.name() << " addr " << addr << " len " << len;
+    };
+    // Every store width at every alignment, around the 0x100 suffix
+    // chunk boundary, with zero bytes sprinkled into both halves.
+    for (const Addr boundary : {mem::heapBase + 0x100,
+                                mem::staticBase + mem::pageSize,
+                                mem::scratchBase + 0x200, Addr{0}}) {
+        for (std::size_t len = 0; len <= 8; ++len) {
+            for (std::size_t before = 0; before <= 9; ++before) {
+                const Addr addr = boundary - before;
+                const auto old_bytes = patternBytes(8, addr + len);
+                const auto new_bytes = patternBytes(8, ~addr - len);
+                expectPair(addr, old_bytes.data(), new_bytes.data(), len);
+                // Equal halves, and one half all zero.
+                expectPair(addr, old_bytes.data(), old_bytes.data(), len);
+                const std::uint8_t zeros[8] = {};
+                expectPair(addr, zeros, new_bytes.data(), len);
+                expectPair(addr, old_bytes.data(), zeros, len);
+            }
+        }
+    }
+    // Long spans that cross several chunks.
+    for (const std::size_t len : {std::size_t{255}, std::size_t{256},
+                                  std::size_t{257}, std::size_t{700}}) {
+        const Addr addr = mem::heapBase + 0x100 - 3;
+        const auto old_bytes = patternBytes(len, len);
+        const auto new_bytes = patternBytes(len, len + 1);
+        expectPair(addr, old_bytes.data(), new_bytes.data(), len);
+    }
+}
+
+TEST(PairEquivalence, Crc64HashSpanPairMatchesTwoSpans)
+{
+    checkSpanPairs(Crc64LocationHasher{});
+}
+
+TEST(PairEquivalence, Mix64HashSpanPairMatchesTwoSpans)
+{
+    checkSpanPairs(Mix64LocationHasher{});
+}
+
+TEST(PairEquivalence, TruncatedHashSpanPairMatchesTwoSpans)
+{
+    checkSpanPairs(TruncatedLocationHasher(
+        std::make_unique<Crc64LocationHasher>(), 16));
+}
+
+/** Raw bits of FP values every rounding mode must treat identically. */
+std::vector<std::uint64_t>
+specialDoubles()
+{
+    std::vector<std::uint64_t> bits;
+    for (const double value :
+         {0.0, -0.0, 1.0, -1.0, 0.1 + 0.2, 0.3, -2.5e-4, 12.3456789,
+          -12.3456789, 4.6e15, -4.6e15, 0x1.0p62, -0x1.0p62, 1e300,
+          -1e300, std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN(),
+          -std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::denorm_min(),
+          -std::numeric_limits<double>::denorm_min(),
+          std::numeric_limits<double>::min(),
+          std::numeric_limits<double>::max()})
+        bits.push_back(std::bit_cast<std::uint64_t>(value));
+    // A signalling NaN with payload, and values whose scaled magnitude
+    // sits just under and over the 2^62 guard at three digits.
+    bits.push_back(0x7ff0000000000123ULL);
+    bits.push_back(std::bit_cast<std::uint64_t>(0x1.0p62 / 1000.0 * 0.999));
+    bits.push_back(std::bit_cast<std::uint64_t>(0x1.0p62 / 1000.0 * 1.001));
+    SplitMix64 gen(0xf10a7);
+    for (int i = 0; i < 64; ++i) {
+        bits.push_back(gen.next());
+        const double scale = static_cast<double>(1ULL << (gen.next() % 60));
+        const double value =
+            (static_cast<double>(gen.next() >> 11) * 0x1.0p-53 - 0.5) *
+            scale;
+        bits.push_back(std::bit_cast<std::uint64_t>(value));
+    }
+    return bits;
+}
+
+std::vector<FpRoundMode>
+allRoundModes()
+{
+    std::vector<FpRoundMode> modes = {FpRoundMode::none(),
+                                      FpRoundMode::mask(0),
+                                      FpRoundMode::mask(12),
+                                      FpRoundMode::mask(30),
+                                      FpRoundMode::mask(52)};
+    for (int digits = 0; digits <= 6; ++digits)
+        modes.push_back(FpRoundMode::floorDigits(digits));
+    return modes;
+}
+
+TEST(ValueHashPairEquivalence, MatchesTwoValueHashes)
+{
+    const Crc64LocationHasher locHasher;
+    const auto doubles = specialDoubles();
+    SplitMix64 gen(0x9a1);
+    for (const FpRoundMode &mode : allRoundModes()) {
+        const StateHasher pipeline(locHasher, mode);
+        const auto expectPair = [&](Addr addr, std::uint64_t old_bits,
+                                    std::uint64_t new_bits, unsigned width,
+                                    ValueClass cls) {
+            ModHash old_hash;
+            ModHash new_hash;
+            pipeline.valueHashPair(addr, old_bits, new_bits, width, cls,
+                                   old_hash, new_hash);
+            EXPECT_EQ(old_hash,
+                      pipeline.valueHash(addr, old_bits, width, cls))
+                << "old " << old_bits << " width " << width;
+            EXPECT_EQ(new_hash,
+                      pipeline.valueHash(addr, new_bits, width, cls))
+                << "new " << new_bits << " width " << width;
+        };
+        for (unsigned width = 1; width <= 8; ++width) {
+            const Addr addr = mem::heapBase + 0x100 - width / 2;
+            for (int round = 0; round < 16; ++round) {
+                // High garbage above the width is ignored by both paths.
+                const std::uint64_t old_bits = gen.next();
+                const std::uint64_t new_bits = gen.next();
+                expectPair(addr, old_bits, new_bits, width,
+                           ValueClass::Integer);
+                expectPair(addr, old_bits, old_bits, width,
+                           ValueClass::Integer);
+                expectPair(addr, 0, new_bits, width, ValueClass::Integer);
+            }
+        }
+        for (std::size_t i = 0; i < doubles.size(); ++i) {
+            const std::uint64_t a = doubles[i];
+            const std::uint64_t b = doubles[(i * 7 + 3) % doubles.size()];
+            const Addr addr = mem::staticBase + 0x100 - 4 + i % 8;
+            expectPair(addr, a, b, 8, ValueClass::Double);
+            expectPair(addr, a, a, 8, ValueClass::Double);
+            const auto fa = std::bit_cast<std::uint32_t>(
+                static_cast<float>(std::bit_cast<double>(a)));
+            const auto fb = std::bit_cast<std::uint32_t>(
+                static_cast<float>(std::bit_cast<double>(b)));
+            expectPair(addr, fa, fb, 4, ValueClass::Float);
+            expectPair(addr, fa, fa, 4, ValueClass::Float);
+            // Raw float bit patterns too (NaN payloads, subnormals).
+            expectPair(addr, static_cast<std::uint32_t>(a),
+                       static_cast<std::uint32_t>(b), 4, ValueClass::Float);
+        }
+        // Values that differ in the raw bits but round to the same value
+        // take the hash-once path: both halves must still be exact.
+        const std::uint64_t noisy_a =
+            std::bit_cast<std::uint64_t>((0.1 + 0.2) + 0.3);
+        const std::uint64_t noisy_b =
+            std::bit_cast<std::uint64_t>(0.1 + (0.2 + 0.3));
+        expectPair(mem::heapBase, noisy_a, noisy_b, 8, ValueClass::Double);
+        expectPair(mem::heapBase, std::bit_cast<std::uint64_t>(-0.0), 0, 8,
+                   ValueClass::Double);
+    }
+}
+
+TEST(ValueHashPairEquivalence, StoreDeltaIsNewMinusOld)
+{
+    const Crc64LocationHasher locHasher;
+    const StateHasher pipeline(locHasher, FpRoundMode::paperDefault());
+    for (const std::uint64_t a : specialDoubles()) {
+        const std::uint64_t b = a ^ 0x0000'0100'0000'0000ULL;
+        EXPECT_EQ(pipeline.storeDelta(0x10040, a, b, 8, ValueClass::Double),
+                  pipeline.valueHash(0x10040, b, 8, ValueClass::Double) -
+                      pipeline.valueHash(0x10040, a, 8, ValueClass::Double));
+    }
+}
+
+/**
+ * The decimal floor as first defined: std::pow per value and the library
+ * std::floor. FpRounder caches the scale and floors without the library
+ * call; both must give the same bits for every input.
+ */
+double
+referenceFloorToDigits(double value, int digits)
+{
+    if (!std::isfinite(value))
+        return value;
+    const double scale = std::pow(10.0, digits);
+    const double scaled = value * scale;
+    if (std::fabs(scaled) >= 0x1.0p62)
+        return value;
+    const double floored = std::floor(scaled) / scale;
+    return floored == 0.0 ? 0.0 : floored;
+}
+
+TEST(FpRounderEquivalence, DecimalFloorMatchesLibraryFloor)
+{
+    std::vector<std::uint64_t> inputs = specialDoubles();
+    SplitMix64 gen(0xd1617);
+    for (int i = 0; i < 4000; ++i) {
+        // Small magnitudes of both signs, many landing on exact grain
+        // multiples, where floor and truncation differ most often.
+        const double grain = static_cast<double>(gen.next() % 4000) / 8.0;
+        inputs.push_back(std::bit_cast<std::uint64_t>(
+            gen.next() % 2 == 0 ? grain : -grain));
+        inputs.push_back(gen.next());
+    }
+    for (int digits = -3; digits <= 9; ++digits) {
+        const FpRounder rounder(FpRoundMode::floorDigits(digits));
+        for (const std::uint64_t raw : inputs) {
+            const double value = std::bit_cast<double>(raw);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(rounder.roundDouble(value)),
+                      std::bit_cast<std::uint64_t>(
+                          referenceFloorToDigits(value, digits)))
+                << "value " << value << " digits " << digits;
+            const float narrow = static_cast<float>(value);
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(rounder.roundFloat(narrow)),
+                      std::bit_cast<std::uint32_t>(static_cast<float>(
+                          referenceFloorToDigits(narrow, digits))))
+                << "value " << narrow << " digits " << digits;
         }
     }
 }

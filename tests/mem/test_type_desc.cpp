@@ -87,6 +87,40 @@ TEST(TypeDesc, FpClassification)
               hashing::ValueClass::Integer);
 }
 
+TEST(TypeDesc, HasFpIsSetWhenBuilt)
+{
+    EXPECT_TRUE(tDouble()->hasFp());
+    EXPECT_TRUE(tFloat()->hasFp());
+    EXPECT_FALSE(tInt64()->hasFp());
+    EXPECT_FALSE(tPad(7)->hasFp());
+    EXPECT_TRUE(tArray(tFloat(), 3)->hasFp());
+    EXPECT_FALSE(tArray(tDouble(), 0)->hasFp()) << "no element, no FP";
+    EXPECT_FALSE(tStruct({tInt32(), tPointer()})->hasFp());
+    EXPECT_TRUE(
+        tStruct({tInt32(), tArray(tStruct({tPad(2), tDouble()}), 2)})
+            ->hasFp());
+}
+
+TEST(TypeDesc, FpWalkVisitsExactlyTheFpScalars)
+{
+    const TypeRef node = tStruct(
+        {tInt32(), tArray(tStruct({tPad(4), tDouble(), tInt8()}), 3),
+         tArray(tInt64(), 5), tFloat(), tArray(tDouble(), 2)});
+    std::vector<Visit> expected;
+    for (const Visit &visit : scan(node)) {
+        const ScalarKind kind = std::get<1>(visit);
+        if (kind == ScalarKind::Float || kind == ScalarKind::Double)
+            expected.push_back(visit);
+    }
+    std::vector<Visit> fp;
+    node->forEachFpScalar([&](std::size_t off, ScalarKind kind,
+                              unsigned w) { fp.emplace_back(off, kind, w); });
+    EXPECT_EQ(fp, expected);
+    ASSERT_EQ(fp.size(), 6u);
+    EXPECT_EQ(std::get<0>(fp[0]), 8u);
+    EXPECT_EQ(std::get<0>(fp[3]), 4u + 3 * 13 + 40);
+}
+
 TEST(TypeDesc, DescribeRendersShape)
 {
     EXPECT_EQ(tDouble()->describe(), "f64");
