@@ -9,26 +9,22 @@
  *   - end-to-end:      Machine accesses/sec, native and with the HW-Inc
  *                      checker attached;
  *   - listener-attached: Machine accesses/sec with the FastTrack race
- *                      detector armed, via direct synchronous dispatch
- *                      (the pre-transport path) and via the ring event
- *                      transport with an interest mask.
+ *                      detector armed (loads and stores, no values), and
+ *                      with only the output hasher attached (no access
+ *                      interest at all).
  *
  * Usage: micro_hotpath [out.json] [--quick] [--baseline <json>]
- *                      [--pretransport <json>]
  *
  * --quick shrinks every loop ~10x for CI smoke runs. --baseline reads a
  * previous output (e.g. one recorded at the main commit on the same host)
  * and embeds it plus per-metric speedups, so the JSON itself documents the
- * win of a hot-path change instead of leaving it a claim. --pretransport
- * reads the pinned pre-transport baseline (the sync-dispatch path is
- * byte-for-byte that code) and emits listenerAttachedTransportWin, the
- * transport-path rate over the pinned sync rate. Numbers are
+ * win of a hot-path change instead of leaving it a claim. Numbers are
  * host-specific; compare only files produced on one machine.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -44,7 +40,6 @@
 #include "race/race_detector.hpp"
 #include "sim/lambda_program.hpp"
 #include "sim/machine.hpp"
-#include "sim/transport.hpp"
 #include "support/rng.hpp"
 
 using namespace icheck;
@@ -65,21 +60,13 @@ const std::vector<std::string> kKeys = {
     "memBulkBytesPerSec",
     "machineNativeAccessesPerSec",
     "machineHwIncAccessesPerSec",
-    "machineRaceSyncAccessesPerSec",
-    "machineRaceTransportAccessesPerSec",
-    "machineCheckSyncAccessesPerSec",
-    "machineCheckTransportAccessesPerSec",
+    "machineRaceAccessesPerSec",
+    "machineCheckAccessesPerSec",
 };
-
-/** Indices of the listener-attached pairs in kKeys. */
-constexpr std::size_t kRaceSync = 7;
-constexpr std::size_t kRaceTransport = 8;
-constexpr std::size_t kCheckSync = 9;
-constexpr std::size_t kCheckTransport = 10;
 
 struct Metrics
 {
-    double values[11] = {};
+    double values[9] = {};
 
     double &operator[](std::size_t i) { return values[i]; }
     double operator[](std::size_t i) const { return values[i]; }
@@ -265,13 +252,11 @@ machineRate(std::optional<check::Scheme> scheme, int runs, int phases)
 
 /**
  * The listener-attached scenario: a native (hashing-off) run with the
- * FastTrack race detector armed. Synchronous dispatch is byte-for-byte
- * the pre-transport hot path; the transport path declares an interest
- * mask (the detector keys off addresses, never store values), which is
- * exactly the old-value read the producer then skips.
+ * FastTrack race detector armed. The detector subscribes to loads and
+ * stores but not store values, so the old-value read is skipped.
  */
 double
-machineRaceRate(bool via_transport, int runs, int phases)
+machineRaceRate(int runs, int phases)
 {
     return bestRate([&] {
         std::uint64_t accesses = 0;
@@ -281,20 +266,11 @@ machineRaceRate(bool via_transport, int runs, int phases)
             cfg.schedSeed = 42 + run;
             cfg.hashingArmed = false;
             race::RaceDetector detector;
-            sim::EventTransport transport;
             sim::Machine machine(cfg);
-            if (via_transport) {
-                sim::ConsumerInterest interest;
-                interest.storeValues = false;
-                transport.addListener(&detector, interest);
-                machine.setTransport(&transport);
-            } else {
-                machine.addListener(&detector);
-            }
+            machine.addListener(&detector);
             auto barrier_id = std::make_shared<sim::BarrierId>();
             auto program = kernel(barrier_id, phases);
             const sim::RunResult result = machine.run(*program);
-            machine.setTransport(nullptr);
             volatile std::uint64_t sink = detector.accessesChecked();
             (void)sink;
             accesses += result.nativeInstrs;
@@ -305,14 +281,11 @@ machineRaceRate(bool via_transport, int runs, int phases)
 
 /**
  * The checker-listener scenario: hashing off, the output hasher attached
- * — exactly what a plain `icheck check` campaign run pays per run. The
- * hasher consumes only output events, but synchronous dispatch cannot
- * know that: it materializes a listener event (and the old store value)
- * for every access anyway. The transport's interest mask drops the whole
- * access stream at the producer, which is its headline end-to-end win.
+ * — what a plain `icheck check` campaign run pays for its own listener.
+ * The hasher declares no access interest, so no load or store reaches it.
  */
 double
-machineCheckRate(bool via_transport, int runs, int phases)
+machineCheckRate(int runs, int phases)
 {
     return bestRate([&] {
         std::uint64_t accesses = 0;
@@ -322,115 +295,17 @@ machineCheckRate(bool via_transport, int runs, int phases)
             cfg.schedSeed = 42 + run;
             cfg.hashingArmed = false;
             check::OutputHasher hasher;
-            sim::EventTransport transport;
             sim::Machine machine(cfg);
-            if (via_transport) {
-                sim::ConsumerInterest interest;
-                interest.loads = false;
-                interest.stores = false;
-                interest.storeValues = false;
-                transport.addListener(&hasher, interest);
-                machine.setTransport(&transport);
-            } else {
-                machine.addListener(&hasher);
-            }
+            machine.addListener(&hasher);
             auto barrier_id = std::make_shared<sim::BarrierId>();
             auto program = kernel(barrier_id, phases);
             const sim::RunResult result = machine.run(*program);
-            machine.setTransport(nullptr);
             volatile HashWord sink = hasher.value();
             (void)sink;
             accesses += result.nativeInstrs;
         }
         return accesses;
     });
-}
-
-/** Byte-identity cross-check of the checker scenario: the output hash
- *  must be the same bytes through either dispatch path. */
-bool
-verifyCheckEquivalence()
-{
-    HashWord hash[2] = {};
-    std::uint64_t bytes[2] = {};
-    for (int mode = 0; mode < 2; ++mode) {
-        sim::MachineConfig cfg;
-        cfg.numCores = 4;
-        cfg.schedSeed = 99;
-        cfg.hashingArmed = false;
-        check::OutputHasher hasher;
-        sim::EventTransport transport;
-        sim::Machine machine(cfg);
-        if (mode == 1) {
-            sim::ConsumerInterest interest;
-            interest.loads = false;
-            interest.stores = false;
-            interest.storeValues = false;
-            transport.addListener(&hasher, interest);
-            machine.setTransport(&transport);
-        } else {
-            machine.addListener(&hasher);
-        }
-        auto barrier_id = std::make_shared<sim::BarrierId>();
-        auto program = kernel(barrier_id, 2);
-        machine.run(*program);
-        machine.setTransport(nullptr);
-        hash[mode] = hasher.value();
-        bytes[mode] = hasher.bytes();
-    }
-    if (hash[0] != hash[1] || bytes[0] != bytes[1]) {
-        std::fprintf(stderr,
-                     "checker-listener paths diverge: hash %llx vs %llx, "
-                     "%llu vs %llu bytes\n",
-                     static_cast<unsigned long long>(hash[0]),
-                     static_cast<unsigned long long>(hash[1]),
-                     static_cast<unsigned long long>(bytes[0]),
-                     static_cast<unsigned long long>(bytes[1]));
-        return false;
-    }
-    return true;
-}
-
-/** Byte-identity cross-check: both dispatch paths must report the same
- *  races and analyze the same access count. */
-bool
-verifyRaceEquivalence()
-{
-    std::set<race::RaceRecord> races[2];
-    std::uint64_t checked[2] = {};
-    for (int mode = 0; mode < 2; ++mode) {
-        sim::MachineConfig cfg;
-        cfg.numCores = 4;
-        cfg.schedSeed = 99;
-        cfg.hashingArmed = false;
-        race::RaceDetector detector;
-        sim::EventTransport transport;
-        sim::Machine machine(cfg);
-        if (mode == 1) {
-            sim::ConsumerInterest interest;
-            interest.storeValues = false;
-            transport.addListener(&detector, interest);
-            machine.setTransport(&transport);
-        } else {
-            machine.addListener(&detector);
-        }
-        auto barrier_id = std::make_shared<sim::BarrierId>();
-        auto program = kernel(barrier_id, 2);
-        machine.run(*program);
-        machine.setTransport(nullptr);
-        races[mode] = detector.races();
-        checked[mode] = detector.accessesChecked();
-    }
-    if (races[0] != races[1] || checked[0] != checked[1]) {
-        std::fprintf(stderr,
-                     "listener-attached paths diverge: %zu vs %zu races, "
-                     "%llu vs %llu accesses\n",
-                     races[0].size(), races[1].size(),
-                     static_cast<unsigned long long>(checked[0]),
-                     static_cast<unsigned long long>(checked[1]));
-        return false;
-    }
-    return true;
 }
 
 /**
@@ -491,7 +366,6 @@ main(int argc, char **argv)
 {
     std::string out_path = "BENCH_hotpath.json";
     std::string baseline_path;
-    std::string pretransport_path;
     bool quick = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -499,8 +373,6 @@ main(int argc, char **argv)
             quick = true;
         } else if (arg == "--baseline" && i + 1 < argc) {
             baseline_path = argv[++i];
-        } else if (arg == "--pretransport" && i + 1 < argc) {
-            pretransport_path = argv[++i];
         } else {
             out_path = arg;
         }
@@ -528,16 +400,8 @@ main(int argc, char **argv)
     cur[5] = machineRate(std::nullopt, static_cast<int>(2 * scale), 8);
     cur[6] = machineRate(check::Scheme::HwInc,
                          static_cast<int>(2 * scale), 8);
-    if (!verifyRaceEquivalence() || !verifyCheckEquivalence())
-        return 1;
-    cur[kRaceSync] =
-        machineRaceRate(false, static_cast<int>(2 * scale), 8);
-    cur[kRaceTransport] =
-        machineRaceRate(true, static_cast<int>(2 * scale), 8);
-    cur[kCheckSync] =
-        machineCheckRate(false, static_cast<int>(2 * scale), 8);
-    cur[kCheckTransport] =
-        machineCheckRate(true, static_cast<int>(2 * scale), 8);
+    cur[7] = machineRaceRate(static_cast<int>(2 * scale), 8);
+    cur[8] = machineCheckRate(static_cast<int>(2 * scale), 8);
 
     for (std::size_t i = 0; i < kKeys.size(); ++i)
         std::printf("%34s %14.0f\n", kKeys[i].c_str(), cur[i]);
@@ -548,27 +412,6 @@ main(int argc, char **argv)
         if (!base.has_value())
             return 1;
     }
-    std::optional<Metrics> pretransport;
-    if (!pretransport_path.empty()) {
-        pretransport = readBaseline(pretransport_path);
-        if (!pretransport.has_value())
-            return 1;
-    }
-
-    // The headline of this bench: the checker-listener end-to-end rate
-    // via the transport, over the synchronous-dispatch rate (the pinned
-    // pre-transport baseline when given, else this binary's own). The
-    // race-detector pair above is the other bound: a consumer that needs
-    // the full access stream pays ring transit roughly at parity.
-    const double pretransport_sync =
-        pretransport.has_value() && (*pretransport)[kCheckSync] > 0.0
-            ? (*pretransport)[kCheckSync]
-            : cur[kCheckSync];
-    const double transport_win =
-        pretransport_sync > 0.0 ? cur[kCheckTransport] / pretransport_sync
-                                : 0.0;
-    std::printf("%34s %13.2fx\n", "listenerAttachedTransportWin",
-                transport_win);
 
     std::FILE *out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {
@@ -579,14 +422,9 @@ main(int argc, char **argv)
                  "{\n"
                  "  \"bench\": \"micro_hotpath\",\n"
                  "  \"quick\": %s,\n"
-                 "  \"hardwareConcurrency\": %u,\n"
-                 "  \"listenerAttachedTransportWin\": %.2f,\n",
-                 quick ? "true" : "false", hw, transport_win);
+                 "  \"hardwareConcurrency\": %u,\n",
+                 quick ? "true" : "false", hw);
     emitBlock(out, "current", cur, "%.0f");
-    if (pretransport.has_value()) {
-        std::fprintf(out, ",\n");
-        emitBlock(out, "pretransportBaseline", *pretransport, "%.0f");
-    }
     if (base.has_value()) {
         std::fprintf(out, ",\n");
         emitBlock(out, "mainBaseline", *base, "%.0f");

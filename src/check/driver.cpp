@@ -1,10 +1,8 @@
 #include "check/driver.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "check/io_hash.hpp"
-#include "sim/transport.hpp"
 #include "support/logging.hpp"
 
 namespace icheck::check
@@ -28,32 +26,12 @@ executeCampaignRun(const DriverConfig &cfg, const ProgramFactory &factory,
     mc.schedSeed =
         cfg.baseSchedSeed + static_cast<std::uint64_t>(run_index);
 
-    // Declared before the machine so it is destroyed after it: ~Machine
-    // drains and detaches the transport while both are still alive.
-    std::optional<sim::EventTransport> transport;
     sim::Machine machine(mc, &replay_log, mode);
 
     auto checker = makeChecker(cfg.scheme, cfg.ignores, cfg.idealCostModel);
     checker->attach(machine);
     OutputHasher output_hasher;
-    if (cfg.transport != TransportMode::Off) {
-        sim::TransportConfig tc;
-        tc.ringCapacity = cfg.transportRingCapacity;
-        tc.async = cfg.transport == TransportMode::Async;
-        transport.emplace(tc);
-        // The output hasher only consumes onOutput: declaring no interest
-        // in the access stream at all lets the producer skip record
-        // production for every load and store — the transport's headline
-        // hot-path win for plain `icheck check` runs.
-        sim::ConsumerInterest interest;
-        interest.loads = false;
-        interest.stores = false;
-        interest.storeValues = false;
-        transport->addListener(&output_hasher, interest);
-        machine.setTransport(&*transport);
-    } else {
-        machine.addListener(&output_hasher);
-    }
+    machine.addListener(&output_hasher);
 
     RunRecord record;
     machine.setRunStartHandler([&] { checker->onRunStart(); });

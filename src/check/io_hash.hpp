@@ -25,6 +25,12 @@ namespace icheck::check
 class OutputHasher : public sim::AccessListener
 {
   public:
+    sim::ListenerInterest
+    interest() const override
+    {
+        return sim::noAccessInterest;
+    }
+
     void onOutput(ThreadId tid, const std::uint8_t *data,
                   std::size_t len) override;
 

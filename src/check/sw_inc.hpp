@@ -35,6 +35,13 @@ class SwInstantCheckInc : public Checker, public sim::AccessListener
 
     void attach(sim::Machine &machine) override;
 
+    /** Stores with their old values, to undo each old location hash. */
+    sim::ListenerInterest
+    interest() const override
+    {
+        return {/*loads=*/false, /*stores=*/true, /*storeValues=*/true};
+    }
+
     void onStore(const sim::StoreEvent &event) override;
 
     /** Per-thread software Thread Hash (mirrors the TH registers). */

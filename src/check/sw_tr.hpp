@@ -37,6 +37,13 @@ class SwInstantCheckTr : public Checker, public sim::AccessListener
     void attach(sim::Machine &machine) override;
     void onRunStart() override;
 
+    /** Allocations and a traversal at checkpoints; no access stream. */
+    sim::ListenerInterest
+    interest() const override
+    {
+        return sim::noAccessInterest;
+    }
+
     void onAlloc(const mem::Block &block) override;
     void onFree(const mem::Block &block) override;
 

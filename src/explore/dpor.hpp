@@ -67,6 +67,12 @@ class DporTracker : public sim::AccessListener
     /** Start a fresh run; the prelude slice opens immediately. */
     void reset(ThreadId setup_tid);
 
+    sim::ListenerInterest
+    interest() const override
+    {
+        return sim::addressInterest;
+    }
+
     void
     onStore(const sim::StoreEvent &event) override
     {

@@ -49,6 +49,12 @@ mixSignature(std::uint64_t acc, std::uint64_t word)
 class HbTracker : public sim::AccessListener
 {
   public:
+    sim::ListenerInterest
+    interest() const override
+    {
+        return sim::addressInterest;
+    }
+
     void
     onStore(const sim::StoreEvent &event) override
     {

@@ -74,6 +74,12 @@ class RaceDetector : public sim::AccessListener
   public:
     RaceDetector() = default;
 
+    sim::ListenerInterest
+    interest() const override
+    {
+        return sim::addressInterest;
+    }
+
     void onStore(const sim::StoreEvent &event) override;
     void onLoad(const sim::LoadEvent &event) override;
     void onSync(const sim::SyncEvent &event) override;

@@ -61,6 +61,12 @@ class AccessAttributor : public sim::AccessListener
         : machine(machine)
     {}
 
+    sim::ListenerInterest
+    interest() const override
+    {
+        return sim::addressInterest;
+    }
+
     void onStore(const sim::StoreEvent &event) override;
     void onLoad(const sim::LoadEvent &event) override;
 

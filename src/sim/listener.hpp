@@ -30,10 +30,10 @@ enum class CostDomain : std::uint8_t
 /**
  * One store, observed after the value is in simulated memory.
  *
- * Deliberately a plain aggregate with no member initializers: the event
- * transport (sim/event_ring.hpp) embeds this struct verbatim inside the
- * EventRecord union, which requires a trivial default constructor, and the
- * hot path fills every field in place in the ring slot.
+ * A plain aggregate: the machine builds one on the stack per store and
+ * hands it by reference to every listener that declared store interest.
+ * oldBits is 0 for an unhashed store when no listener asked for store
+ * values (see ListenerInterest).
  */
 struct StoreEvent
 {
@@ -54,7 +54,7 @@ struct StoreEvent
     bool hashed;
 };
 
-/** One load. Plain aggregate for the same reason as StoreEvent. */
+/** One load, built the same way as StoreEvent. */
 struct LoadEvent
 {
     ThreadId tid;
@@ -121,15 +121,41 @@ struct SliceEvent
 };
 
 /**
- * Subscriber to run events. All callbacks fire on the currently running
- * simulated thread; because execution is serialized, no locking is
- * needed. (Under the async event transport they fire on the drain thread
- * instead — still one at a time, in event order.)
+ * Which part of the access stream a listener consumes. Loads and stores
+ * dominate event volume, so the machine delivers each only to the
+ * listeners that asked for it; every other event kind (sync, slice,
+ * alloc/free, output, checkpoint) reaches every listener.
+ */
+struct ListenerInterest
+{
+    bool loads = true;
+    bool stores = true;
+
+    /** Stores must carry the old value even when the hash gate is
+     *  closed (the machine otherwise skips that memory read). Implies
+     *  stores. */
+    bool storeValues = true;
+};
+
+/** Neither loads nor stores: the listener consumes only the other events. */
+inline constexpr ListenerInterest noAccessInterest{false, false, false};
+
+/** Loads and stores by address; old store values are not needed. */
+inline constexpr ListenerInterest addressInterest{true, true, false};
+
+/**
+ * Subscriber to run events. All callbacks fire synchronously on the
+ * currently running simulated thread, in program order; because
+ * execution is serialized, no locking is needed.
  */
 class AccessListener
 {
   public:
     virtual ~AccessListener() = default;
+
+    /** What this listener consumes; read once, by Machine::addListener.
+     *  The default is everything. */
+    virtual ListenerInterest interest() const { return {}; }
 
     virtual void onStore(const StoreEvent &) {}
     virtual void onLoad(const LoadEvent &) {}

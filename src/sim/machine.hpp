@@ -21,6 +21,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/write_buffer.hpp"
@@ -106,7 +107,6 @@ class SimError : public std::runtime_error
 class SetupCtx;
 class ThreadCtx;
 class Machine;
-class EventTransport;
 
 /**
  * The complete captured architectural state of a Machine at one scheduling
@@ -200,23 +200,14 @@ class Machine
     /** Inject a scheduler (default: RandomScheduler from schedSeed). */
     void setScheduler(std::unique_ptr<Scheduler> sched);
 
-    /** Subscribe @p listener to run events (not owned). */
+    /**
+     * Subscribe @p listener to run events (not owned). Its interest() is
+     * read here, once: loads and stores reach it only if it asked.
+     */
     void addListener(AccessListener *listener);
 
     /** Unsubscribe a previously added listener (no-op if absent). */
     void removeListener(AccessListener *listener);
-
-    /**
-     * Route events through @p transport (see sim/transport.hpp) instead
-     * of — or in addition to — the synchronous listener list: records go
-     * into per-core rings and a drain stage replays them into the
-     * transport's own listeners in order. Pass null to detach (pending
-     * records are delivered first). The transport must outlive the
-     * machine or be detached before the machine is destroyed; the
-     * destructor detaches automatically as a backstop.
-     */
-    void setTransport(EventTransport *t);
-    EventTransport *transportAttached() const { return transport; }
 
     /** Called after setup(), before the first thread runs. */
     void setRunStartHandler(std::function<void()> handler);
@@ -386,6 +377,9 @@ class Machine
     BarrierId createBarrier(std::uint32_t parties);
     CondId createCond();
 
+    /** Recompute the dispatch lists after a (un)subscription. */
+    void rebuildDispatch();
+
     void threadEntry(ThreadId tid);
     void yieldCurrent(YieldReason reason);
     void step();
@@ -401,11 +395,6 @@ class Machine
                   std::uint64_t epoch = 0);
     void emitSlice(ThreadId tid, CoreId core_id, bool begin,
                    SliceEnd reason);
-    /** Ring index for the current event (core 0 when no core is live). */
-    std::size_t eventRing() const
-    {
-        return curCore != invalidCoreId ? curCore : 0;
-    }
     void zeroRange(Addr addr, std::size_t len);
     void scrubTyped(Addr addr, const mem::TypeRef &type);
     void abortAll();
@@ -424,8 +413,17 @@ class Machine
     std::vector<SimBarrier> barriers;
     std::vector<SimCond> conds;
 
-    std::vector<AccessListener *> listeners;
-    EventTransport *transport = nullptr;
+    /** Every subscriber with the interest it declared, in attach order. */
+    std::vector<std::pair<AccessListener *, ListenerInterest>>
+        subscriptions;
+    /// @name Dispatch lists derived from subscriptions (attach order).
+    /// @{
+    std::vector<AccessListener *> listeners; ///< Every event but accesses.
+    std::vector<AccessListener *> loadListeners;
+    std::vector<AccessListener *> storeListeners;
+    /** Some store listener needs old values with the hash gate closed. */
+    bool storeValuesWanted = false;
+    /// @}
     std::function<void()> runStartHandler;
     std::function<void(const CheckpointInfo &)> checkpointHandler;
     std::function<void(const std::vector<ThreadId> &)> decisionHandler;

@@ -83,15 +83,13 @@ usage()
         "                     [--jobs N] [--jsonl FILE] [--json]\n"
         "                     [--bug semantic|atomicity|order]\n"
         "                     [--race-log FILE] [--trace FILE]\n"
-        "                     [--transport off|inline|async]"
-        " [--ring-capacity N]\n"
         "  icheck characterize <app> [--runs N] [--jobs N]\n"
         "  icheck explore <app> [--runs N] [--quantum Q] [--depth D]\n"
         "                       [--prune none|hb|state[,dpor]]"
         " [--preemptions P]\n"
         "                       [--jobs N] [--no-checkpoints]"
         " [--stats]\n"
-        "                       [--transport] [--trace-dir DIR]\n"
+        "                       [--trace-dir DIR]\n"
         "  icheck localize <app> [--checkpoint K] [--seed-a A]"
         " [--seed-b B]\n"
         "  icheck stats <app> [--seed S] [--input dev|medium|large]\n"
@@ -116,13 +114,6 @@ usage()
         "access pairs as JSONL, each endpoint attributed to the app\n"
         "source file:line; icheck-lint --race-log cross-checks its\n"
         "static findings against this log.\n"
-        "--transport picks how run listeners receive events: `off` is\n"
-        "direct synchronous dispatch, `inline` (the default) routes\n"
-        "through per-core lock-free ring buffers drained at decision\n"
-        "boundaries, `async` drains them on a dedicated consumer\n"
-        "thread; reports are byte-identical across all modes and\n"
-        "--ring-capacity values. For explore, --transport is a flag\n"
-        "routing the HB/DPOR trackers the same way (forces cold runs).\n"
         "--trace FILE (check) writes a Chrome trace-event JSON of two\n"
         "representative runs — schedule slices, lock holds, barrier\n"
         "epochs, preemptions, checkpoints, and hash-divergence markers\n"
@@ -216,19 +207,6 @@ cmdList()
     return 0;
 }
 
-check::TransportMode
-parseTransport(const std::string &name)
-{
-    if (name == "off")
-        return check::TransportMode::Off;
-    if (name == "inline")
-        return check::TransportMode::Inline;
-    if (name == "async")
-        return check::TransportMode::Async;
-    ICHECK_FATAL("unknown transport mode '", name,
-                 "' (off | inline | async)");
-}
-
 check::Scheme
 parseScheme(const std::string &name)
 {
@@ -295,12 +273,6 @@ cmdCheck(const std::string &app_name, Args &args)
         args.value("--scheme").value_or("hw"));
     cfg.machine.fpRoundingEnabled = !args.flag("--no-rounding");
     cfg.baseSchedSeed = args.number("--seed", 1000);
-    cfg.transport = parseTransport(
-        args.value("--transport").value_or("inline"));
-    cfg.transportRingCapacity =
-        static_cast<std::size_t>(args.number("--ring-capacity", 1024));
-    if (cfg.transportRingCapacity < 1)
-        ICHECK_FATAL("--ring-capacity must be at least 1");
     if (!args.flag("--no-ignores"))
         cfg.ignores = app.ignores;
     const bool show_distributions = args.flag("--distributions");
@@ -488,7 +460,6 @@ cmdExplore(const std::string &app_name, Args &args)
     if (const auto p = args.value("--preemptions"))
         cfg.maxPreemptions = std::strtoull(p->c_str(), nullptr, 10);
     cfg.checkpoints = !args.flag("--no-checkpoints");
-    cfg.transport = args.flag("--transport");
     if (const auto trace_dir = args.value("--trace-dir")) {
         cfg.traceDir = *trace_dir;
         std::error_code ec;

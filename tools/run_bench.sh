@@ -111,16 +111,6 @@ if [ "${pin}" -eq 1 ]; then
     "${build_dir}/bench/micro_hotpath" \
         "${repo_root}/bench/baselines/hotpath_main.json"
     stamp_provenance "${repo_root}/bench/baselines/hotpath_main.json"
-    # The pre-transport baseline freezes the listener-attached rates of
-    # the synchronous dispatch path (what `--transport off` preserves) at
-    # the commit the transport landed. Pin it once; later re-pins of the
-    # main baseline must not move the transport win's denominator.
-    if [ ! -f "${repo_root}/bench/baselines/hotpath_pretransport.json" ]
-    then
-        cp "${repo_root}/bench/baselines/hotpath_main.json" \
-            "${repo_root}/bench/baselines/hotpath_pretransport.json"
-        echo "pre-transport listener baseline pinned"
-    fi
     "${build_dir}/bench/micro_snapshot" \
         "${repo_root}/bench/baselines/snapshot_main.json" \
         --no-checkpoints
@@ -151,13 +141,8 @@ cmake --build "${build_dir}" -t micro_parallel micro_hotpath \
 stamp_provenance "${out_json}"
 echo "perf trajectory written to ${out_json}"
 
-hotpath_args=(--baseline "${repo_root}/bench/baselines/hotpath_main.json")
-pretransport_baseline="${repo_root}/bench/baselines/hotpath_pretransport.json"
-if [ -f "${pretransport_baseline}" ]; then
-    hotpath_args+=(--pretransport "${pretransport_baseline}")
-fi
 "${build_dir}/bench/micro_hotpath" "${repo_root}/BENCH_hotpath.json" \
-    "${hotpath_args[@]}"
+    --baseline "${repo_root}/bench/baselines/hotpath_main.json"
 stamp_provenance "${repo_root}/BENCH_hotpath.json"
 echo "hot-path trajectory written to ${repo_root}/BENCH_hotpath.json"
 
