@@ -13,18 +13,16 @@
  *                      with only the output hasher attached (no access
  *                      interest at all).
  *
- * Usage: micro_hotpath [out.json] [--quick] [--baseline <json>]
+ * Usage: micro_hotpath [out.json] [--quick]
  *
- * --quick shrinks every loop ~10x for CI smoke runs. --baseline reads a
- * previous output (e.g. one recorded at the main commit on the same host)
- * and embeds it plus per-metric speedups, so the JSON itself documents the
- * win of a hot-path change instead of leaving it a claim. Numbers are
- * host-specific; compare only files produced on one machine.
+ * --quick shrinks every loop ~10x for CI smoke runs; any other flag is a
+ * usage error (exit 2). Numbers are host-specific: read them as ratios
+ * within one run. Same-host comparisons across commits belong to
+ * `python3 perfbench/run.py`.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -308,54 +306,13 @@ machineCheckRate(int runs, int phases)
     });
 }
 
-/**
- * Extract the first occurrence of each metric key from @p path (a previous
- * output of this bench; the "current" block is emitted first, so the first
- * occurrence is the one to compare against).
- */
-std::optional<Metrics>
-readBaseline(const std::string &path)
-{
-    std::FILE *in = std::fopen(path.c_str(), "r");
-    if (in == nullptr) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        return std::nullopt;
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), in)) > 0)
-        text.append(buf, got);
-    std::fclose(in);
-
-    Metrics base;
-    for (std::size_t i = 0; i < kKeys.size(); ++i) {
-        const std::string needle = "\"" + kKeys[i] + "\":";
-        const std::size_t pos = text.find(needle);
-        if (pos == std::string::npos) {
-            // Baselines pinned before a metric existed simply lack its
-            // key; report a zero rate (speedup renders as 0) instead of
-            // refusing the whole comparison.
-            std::fprintf(stderr, "baseline %s lacks %s (treated as 0)\n",
-                         path.c_str(), kKeys[i].c_str());
-            base[i] = 0.0;
-            continue;
-        }
-        base[i] = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-    }
-    return base;
-}
-
 void
-emitBlock(std::FILE *out, const char *name, const Metrics &m,
-          const char *fmt)
+emitBlock(std::FILE *out, const char *name, const Metrics &m)
 {
     std::fprintf(out, "  \"%s\": {", name);
-    for (std::size_t i = 0; i < kKeys.size(); ++i) {
-        std::fprintf(out, "%s\n    \"%s\": ", i == 0 ? "" : ",",
-                     kKeys[i].c_str());
-        std::fprintf(out, fmt, m[i]);
-    }
+    for (std::size_t i = 0; i < kKeys.size(); ++i)
+        std::fprintf(out, "%s\n    \"%s\": %.0f", i == 0 ? "" : ",",
+                     kKeys[i].c_str(), m[i]);
     std::fprintf(out, "\n  }");
 }
 
@@ -365,16 +322,16 @@ int
 main(int argc, char **argv)
 {
     std::string out_path = "BENCH_hotpath.json";
-    std::string baseline_path;
     bool quick = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--quick") {
             quick = true;
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            baseline_path = argv[++i];
-        } else {
+        } else if (arg.rfind("--", 0) != 0) {
             out_path = arg;
+        } else {
+            std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+            return 2;
         }
     }
 
@@ -406,13 +363,6 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < kKeys.size(); ++i)
         std::printf("%34s %14.0f\n", kKeys[i].c_str(), cur[i]);
 
-    std::optional<Metrics> base;
-    if (!baseline_path.empty()) {
-        base = readBaseline(baseline_path);
-        if (!base.has_value())
-            return 1;
-    }
-
     std::FILE *out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -424,19 +374,7 @@ main(int argc, char **argv)
                  "  \"quick\": %s,\n"
                  "  \"hardwareConcurrency\": %u,\n",
                  quick ? "true" : "false", hw);
-    emitBlock(out, "current", cur, "%.0f");
-    if (base.has_value()) {
-        std::fprintf(out, ",\n");
-        emitBlock(out, "mainBaseline", *base, "%.0f");
-        Metrics speedup;
-        for (std::size_t i = 0; i < kKeys.size(); ++i)
-            speedup[i] = (*base)[i] > 0.0 ? cur[i] / (*base)[i] : 0.0;
-        std::fprintf(out, ",\n");
-        emitBlock(out, "speedupVsMain", speedup, "%.2f");
-        std::printf("speedup vs main:\n");
-        for (std::size_t i = 0; i < kKeys.size(); ++i)
-            std::printf("%34s %13.2fx\n", kKeys[i].c_str(), speedup[i]);
-    }
+    emitBlock(out, "current", cur);
     std::fprintf(out, "\n}\n");
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());

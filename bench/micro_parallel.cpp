@@ -6,8 +6,8 @@
  * parallel executor at increasing worker counts, verifies every parallel
  * DriverReport is bit-identical to the sequential one, and records
  * runs/sec plus speedup to a machine-readable JSON file (default
- * BENCH_parallel.json; override with argv[1]) so the perf trajectory is
- * trackable across PRs.
+ * BENCH_parallel.json; override with a positional argument; any flag is
+ * a usage error, exit 2).
  *
  * Campaign parallelism only unlocks additional *cores*: one campaign run
  * keeps at most one host thread active at a time (the serializing
@@ -106,8 +106,15 @@ measure(const apps::AppInfo &app, int jobs,
 int
 main(int argc, char **argv)
 {
-    const std::string out_path =
-        argc > 1 ? argv[1] : "BENCH_parallel.json";
+    std::string out_path = "BENCH_parallel.json";
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind("--", 0) == 0) {
+            std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+            return 2;
+        }
+        out_path = arg;
+    }
     const apps::AppInfo &app = apps::findApp(kApp);
     const unsigned hw = runtime::ThreadPool::hardwareWorkers();
 

@@ -10,23 +10,19 @@
  *   - explorer: end-to-end explore() nodes/sec with checkpointing on
  *               vs off, on a branchy two-thread mini-workload.
  *
- * Usage: micro_snapshot [out.json] [--quick] [--baseline <json>]
- *                       [--no-checkpoints]
+ * Usage: micro_snapshot [out.json] [--quick]
  *
- * --quick shrinks every loop for CI smoke runs. --baseline reads a
- * previous output (e.g. bench/baselines/snapshot_main.json, recorded
- * with --no-checkpoints to represent the pre-snapshot repo) and embeds
- * it plus per-metric speedups, so the JSON documents the win instead of
- * leaving it a claim. --no-checkpoints forces the cold path for the
- * warm metrics too — that is how the pinned baseline is produced.
- * Numbers are host-specific; compare only files from one machine.
+ * --quick shrinks every loop for CI smoke runs; any other flag is a
+ * usage error (exit 2). Each warm metric and its cold counterpart come
+ * from the same process, so their ratio is the snapshot win on this
+ * host. Builds without snapshot support (TSan) measure the cold path
+ * for the warm metrics too. Same-host comparisons across commits belong
+ * to `python3 perfbench/run.py`.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -247,50 +243,13 @@ exploreRate(bool checkpoints, int max_runs)
     });
 }
 
-/**
- * Extract the first occurrence of each metric key from @p path (a
- * previous output of this bench; the "current" block is emitted first,
- * so the first occurrence is the one to compare against).
- */
-std::optional<Metrics>
-readBaseline(const std::string &path)
-{
-    std::FILE *in = std::fopen(path.c_str(), "r");
-    if (in == nullptr) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        return std::nullopt;
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), in)) > 0)
-        text.append(buf, got);
-    std::fclose(in);
-
-    Metrics base;
-    for (std::size_t i = 0; i < kKeys.size(); ++i) {
-        const std::string needle = "\"" + kKeys[i] + "\":";
-        const std::size_t pos = text.find(needle);
-        if (pos == std::string::npos) {
-            std::fprintf(stderr, "baseline %s lacks %s\n", path.c_str(),
-                         kKeys[i].c_str());
-            return std::nullopt;
-        }
-        base[i] = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-    }
-    return base;
-}
-
 void
-emitBlock(std::FILE *out, const char *name, const Metrics &m,
-          const char *fmt)
+emitBlock(std::FILE *out, const char *name, const Metrics &m)
 {
     std::fprintf(out, "  \"%s\": {", name);
-    for (std::size_t i = 0; i < kKeys.size(); ++i) {
-        std::fprintf(out, "%s\n    \"%s\": ", i == 0 ? "" : ",",
-                     kKeys[i].c_str());
-        std::fprintf(out, fmt, m[i]);
-    }
+    for (std::size_t i = 0; i < kKeys.size(); ++i)
+        std::fprintf(out, "%s\n    \"%s\": %.0f", i == 0 ? "" : ",",
+                     kKeys[i].c_str(), m[i]);
     std::fprintf(out, "\n  }");
 }
 
@@ -300,26 +259,22 @@ int
 main(int argc, char **argv)
 {
     std::string out_path = "BENCH_snapshot.json";
-    std::string baseline_path;
     bool quick = false;
-    bool no_checkpoints = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--quick") {
             quick = true;
-        } else if (arg == "--no-checkpoints") {
-            no_checkpoints = true;
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            baseline_path = argv[++i];
-        } else {
+        } else if (arg.rfind("--", 0) != 0) {
             out_path = arg;
+        } else {
+            std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+            return 2;
         }
     }
 
     const std::uint64_t scale = quick ? 1 : 8;
     const unsigned hw = std::thread::hardware_concurrency();
-    const bool warm =
-        !no_checkpoints && sim::Machine::snapshotSupported();
+    const bool warm = sim::Machine::snapshotSupported();
 
     std::printf("micro_snapshot (%s%s): hardware concurrency %u\n",
                 quick ? "quick" : "full",
@@ -332,7 +287,7 @@ main(int argc, char **argv)
         cur[2] = restoreSuffixRate(25 * scale);
         cur[4] = exploreRate(true, static_cast<int>(40 * scale));
     } else {
-        // Pre-snapshot behaviour: every "restore" is a cold re-run and
+        // No snapshot support: every "restore" is a cold re-run and
         // exploration never shares prefixes.
         cur[2] = coldRerunRate(10 * scale);
         cur[4] = exploreRate(false, static_cast<int>(40 * scale));
@@ -342,13 +297,6 @@ main(int argc, char **argv)
 
     for (std::size_t i = 0; i < kKeys.size(); ++i)
         std::printf("%28s %14.0f\n", kKeys[i].c_str(), cur[i]);
-
-    std::optional<Metrics> base;
-    if (!baseline_path.empty()) {
-        base = readBaseline(baseline_path);
-        if (!base.has_value())
-            return 1;
-    }
 
     std::FILE *out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {
@@ -362,19 +310,7 @@ main(int argc, char **argv)
                  "  \"checkpointing\": %s,\n"
                  "  \"hardwareConcurrency\": %u,\n",
                  quick ? "true" : "false", warm ? "true" : "false", hw);
-    emitBlock(out, "current", cur, "%.0f");
-    if (base.has_value()) {
-        std::fprintf(out, ",\n");
-        emitBlock(out, "mainBaseline", *base, "%.0f");
-        Metrics speedup;
-        for (std::size_t i = 0; i < kKeys.size(); ++i)
-            speedup[i] = (*base)[i] > 0.0 ? cur[i] / (*base)[i] : 0.0;
-        std::fprintf(out, ",\n");
-        emitBlock(out, "speedupVsMain", speedup, "%.2f");
-        std::printf("speedup vs main:\n");
-        for (std::size_t i = 0; i < kKeys.size(); ++i)
-            std::printf("%28s %13.2fx\n", kKeys[i].c_str(), speedup[i]);
-    }
+    emitBlock(out, "current", cur);
     std::fprintf(out, "\n}\n");
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());

@@ -9,10 +9,9 @@
  * receives each run record the moment it finishes (tagged with its seed
  * index) and appends one JSONL line per run plus a final campaign line
  * with the aggregate counters: runs per second, worker utilization,
- * steal count, and peak queue depth. The JSONL stream is the
- * machine-readable perf trajectory consumed by tools/run_bench.sh; the
- * counters alone (null stream) make the sink a cheap in-memory probe for
- * tests and benches.
+ * steal count, and peak queue depth. The JSONL stream is what
+ * `icheck check --jsonl FILE` appends; the counters alone (null stream)
+ * make the sink a cheap in-memory probe for tests and benches.
  */
 
 #include <cstdint>

@@ -11,7 +11,7 @@
  *                [--jobs N] [--dispatchers N] [--store FILE]
  *                [--connect SOCKET | --spawn ICHECK_BIN]
  *                [--fleet N] [--ship sync|async] [--kill-one]
- *                [--verify] [--baseline <json>]
+ *                [--verify]
  *
  * Three transports:
  *   (default)   in-process — drive a Service directly from C client
@@ -37,9 +37,9 @@
  * path in-process and fails (exit 1) unless the daemon's report bytes
  * are identical — the acceptance gate for the serve path.
  *
- * --quick shrinks the mix for CI smoke runs. --baseline embeds a
- * previous output plus speedups (run_bench.sh pins one under
- * bench/baselines/service_main.json). Numbers are host-specific.
+ * --quick shrinks the mix for CI smoke runs. Numbers are host-specific;
+ * same-host comparisons across commits belong to
+ * `python3 perfbench/run.py --workload serve|fleet`.
  */
 
 #include <algorithm>
@@ -241,51 +241,13 @@ embeddedReport(const std::string &response)
                            response.size() - 1 - (pos + needle.size()));
 }
 
-std::optional<Metrics>
-readBaseline(const std::string &path)
-{
-    std::FILE *in = std::fopen(path.c_str(), "r");
-    if (in == nullptr) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        return std::nullopt;
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), in)) > 0)
-        text.append(buf, got);
-    std::fclose(in);
-
-    // Anchor at the "current" block: fleet baselines carry the same
-    // metric keys earlier in the file (backendSweep entries, the
-    // direct block), and the first occurrence is the wrong run.
-    std::size_t from = text.find("\"current\":");
-    if (from == std::string::npos)
-        from = 0;
-    Metrics base;
-    for (std::size_t i = 0; i < kKeys.size(); ++i) {
-        const std::string needle = "\"" + kKeys[i] + "\":";
-        const std::size_t pos = text.find(needle, from);
-        if (pos == std::string::npos) {
-            std::fprintf(stderr, "baseline %s lacks %s\n", path.c_str(),
-                         kKeys[i].c_str());
-            return std::nullopt;
-        }
-        base[i] = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-    }
-    return base;
-}
-
 void
-emitBlock(std::FILE *out, const char *name, const Metrics &m,
-          const char *fmt)
+emitBlock(std::FILE *out, const char *name, const Metrics &m)
 {
     std::fprintf(out, "  \"%s\": {", name);
-    for (std::size_t i = 0; i < kKeys.size(); ++i) {
-        std::fprintf(out, "%s\n    \"%s\": ", i == 0 ? "" : ",",
-                     kKeys[i].c_str());
-        std::fprintf(out, fmt, m[i]);
-    }
+    for (std::size_t i = 0; i < kKeys.size(); ++i)
+        std::fprintf(out, "%s\n    \"%s\": %.4f", i == 0 ? "" : ",",
+                     kKeys[i].c_str(), m[i]);
     std::fprintf(out, "\n  }");
 }
 
@@ -651,7 +613,6 @@ struct FleetBenchConfig
     std::string outPath;
     std::string appsCsv;
     std::string input;
-    std::string baselinePath;
     std::string spawnBin;
     std::string ship;
     int backends = 0;
@@ -931,13 +892,6 @@ runFleetBench(const FleetBenchConfig &cfg)
         }
     }
 
-    std::optional<Metrics> base;
-    if (!cfg.baselinePath.empty()) {
-        base = readBaseline(cfg.baselinePath);
-        if (!base.has_value())
-            return 1;
-    }
-
     std::FILE *out = std::fopen(cfg.outPath.c_str(), "w");
     if (out == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", cfg.outPath.c_str());
@@ -997,18 +951,9 @@ runFleetBench(const FleetBenchConfig &cfg)
     std::fprintf(out, "  \"balance\": %s,\n", balance_json.c_str());
     std::fprintf(out, "  \"hardwareConcurrency\": %u,\n",
                  std::thread::hardware_concurrency());
-    emitBlock(out, "direct", direct, "%.4f");
+    emitBlock(out, "direct", direct);
     std::fprintf(out, ",\n");
-    emitBlock(out, "current", headline, "%.4f");
-    if (base.has_value()) {
-        std::fprintf(out, ",\n");
-        emitBlock(out, "mainBaseline", *base, "%.4f");
-        Metrics speedup;
-        for (std::size_t i = 0; i < kKeys.size(); ++i)
-            speedup[i] = (*base)[i] > 0.0 ? headline[i] / (*base)[i] : 0.0;
-        std::fprintf(out, ",\n");
-        emitBlock(out, "speedupVsMain", speedup, "%.2f");
-    }
+    emitBlock(out, "current", headline);
     std::fprintf(out, "\n}\n");
     std::fclose(out);
 
@@ -1034,7 +979,6 @@ main(int argc, char **argv)
     std::string out_path;
     std::string apps_csv = "radix,fft,lu";
     std::string input = "dev";
-    std::string baseline_path;
     std::string connect_path;
     std::string spawn_bin;
     std::string store_path;
@@ -1078,8 +1022,6 @@ main(int argc, char **argv)
             apps_csv = argv[++i];
         } else if (arg == "--input" && i + 1 < argc) {
             input = argv[++i];
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            baseline_path = argv[++i];
         } else if (arg == "--connect" && i + 1 < argc) {
             connect_path = argv[++i];
         } else if (arg == "--spawn" && i + 1 < argc) {
@@ -1131,7 +1073,6 @@ main(int argc, char **argv)
             out_path.empty() ? "BENCH_fleet.json" : out_path;
         fleet_cfg.appsCsv = apps_csv;
         fleet_cfg.input = input;
-        fleet_cfg.baselinePath = baseline_path;
         fleet_cfg.spawnBin = spawn_bin;
         fleet_cfg.ship = ship;
         fleet_cfg.backends = fleet_backends;
@@ -1299,13 +1240,6 @@ main(int argc, char **argv)
     // --- Metrics. ----------------------------------------------------
     const Metrics cur = burstMetrics(burst, dedup_rate);
 
-    std::optional<Metrics> base;
-    if (!baseline_path.empty()) {
-        base = readBaseline(baseline_path);
-        if (!base.has_value())
-            return 1;
-    }
-
     std::FILE *out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -1325,17 +1259,7 @@ main(int argc, char **argv)
                  verify ? (verified ? "true" : "false") : "null");
     std::fprintf(out, "  \"hardwareConcurrency\": %u,\n",
                  std::thread::hardware_concurrency());
-    emitBlock(out, "current", cur, "%.4f");
-    if (base.has_value()) {
-        std::fprintf(out, ",\n");
-        emitBlock(out, "mainBaseline", *base, "%.4f");
-        Metrics speedup;
-        for (std::size_t i = 0; i < kKeys.size(); ++i)
-            speedup[i] =
-                (*base)[i] > 0.0 ? cur[i] / (*base)[i] : 0.0;
-        std::fprintf(out, ",\n");
-        emitBlock(out, "speedupVsMain", speedup, "%.2f");
-    }
+    emitBlock(out, "current", cur);
     std::fprintf(out, "\n}\n");
     std::fclose(out);
 
