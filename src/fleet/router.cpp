@@ -275,9 +275,19 @@ Router::dispatchCheck(Waiter waiter)
         const std::string *owner = ring.ownerOf(waiter.canonical);
         if (owner != nullptr)
             backend = backendByName(*owner);
+        if (backend != nullptr &&
+            !backend->alive.load(std::memory_order_acquire)) {
+            // The owner died but its reader has not run failover() yet.
+            // failover() takes it off the ring under ringMu before it
+            // drains pending, so parking the waiter there while we
+            // still hold ringMu hands it to that drain, which
+            // re-dispatches it to the key's next owner.
+            std::lock_guard<std::mutex> pending_lock(backend->pendingMu);
+            backend->pending[waiter.id].push_back(std::move(waiter));
+            return;
+        }
     }
-    if (backend == nullptr ||
-        !backend->alive.load(std::memory_order_acquire)) {
+    if (backend == nullptr) {
         waiter.respond(service::renderErrorResponse(
             waiter.id, "no live backend for this key"));
         return;

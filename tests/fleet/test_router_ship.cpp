@@ -1,10 +1,12 @@
 /**
  * @file
- * Router behavior against a scripted fake backend: the sync-ship
+ * Router behavior against scripted fake backends: the sync-ship
  * hold/witness protocol (a pull already in flight when a response is
  * held predates its frames and must not flush it), the death paths a
  * SIGKILLed backend exercises (writes surface as EPIPE, never a
- * process-fatal SIGPIPE), and fd hygiene when start() fails partway.
+ * process-fatal SIGPIPE; a check routed to a dead owner before its
+ * failover is re-dispatched, not refused), and fd hygiene when start()
+ * fails partway.
  * The fake backend owns the wire verbatim, so each interleaving is
  * forced rather than raced.
  */
@@ -23,7 +25,9 @@
 #include <gtest/gtest.h>
 
 #include "fleet/fleet_config.hpp"
+#include "fleet/hash_ring.hpp"
 #include "fleet/router.hpp"
+#include "service/protocol.hpp"
 
 namespace fleet = icheck::fleet;
 
@@ -163,6 +167,18 @@ countOpenFds()
 constexpr const char *checkLine =
     "{\"id\":\"c1\",\"op\":\"check\",\"app\":\"radix\",\"runs\":4}";
 
+/** The next forwarded check line, skipping the shipper's pulls. */
+std::string
+readCheckLine(FakeBackend &backend)
+{
+    while (true) {
+        std::string line = backend.readLine();
+        if (line.empty() || line.find("\"op\":\"check\"") !=
+                                std::string::npos)
+            return line;
+    }
+}
+
 std::string
 pullEofResponse(std::uint64_t next)
 {
@@ -248,6 +264,83 @@ TEST(RouterShip, DeadBackendAnswersWithAnErrorNotASignal)
               std::future_status::ready);
     EXPECT_NE(response.get().find("\"status\":\"error\""),
               std::string::npos);
+}
+
+TEST(RouterShip, CheckRoutedToADeadOwnerBeforeFailoverIsReDispatched)
+{
+    const std::string paths[2] = {socketPath("win0"), socketPath("win1")};
+    FakeBackend fakes[2] = {FakeBackend(paths[0]), FakeBackend(paths[1])};
+    fleet::FleetTopology topology;
+    for (int b = 0; b < 2; ++b) {
+        ASSERT_TRUE(fakes[b].listen());
+        topology.backends.push_back(fleet::BackendAddress{
+            "b" + std::to_string(b), paths[b]});
+    }
+
+    // Both checks carry the same work, so they share a ring owner.
+    const std::string first_line = checkLine;
+    const std::string second_line =
+        "{\"id\":\"c2\",\"op\":\"check\",\"app\":\"radix\",\"runs\":4}";
+    fleet::HashRing ring;
+    ring.add("b0");
+    ring.add("b1");
+    const icheck::service::ParsedLine parsed =
+        icheck::service::parseRequestLine(first_line);
+    ASSERT_TRUE(parsed.ok());
+    const std::string *owner_name =
+        ring.ownerOf(icheck::service::canonicalKey(parsed.request->check));
+    ASSERT_NE(owner_name, nullptr);
+    const int owner = *owner_name == "b0" ? 0 : 1;
+    FakeBackend &dying = fakes[owner];
+    FakeBackend &heir = fakes[1 - owner];
+
+    fleet::Router router(std::move(topology), "/nonexistent/router.sock");
+    ASSERT_TRUE(router.start());
+    ASSERT_TRUE(fakes[0].acceptOne());
+    ASSERT_TRUE(fakes[1].acceptOne());
+
+    // Park the dying owner's reader thread inside c1's response
+    // callback: until it returns, the reader cannot see the owner's
+    // death, so failover() cannot run and the owner stays on the ring.
+    std::promise<void> in_callback;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    router.handleClientLine(first_line,
+                            [&in_callback, released](const std::string &) {
+                                in_callback.set_value();
+                                released.wait();
+                            });
+    ASSERT_NE(readCheckLine(dying).find("\"id\":\"c1\""),
+              std::string::npos);
+    ASSERT_TRUE(dying.sendLine("{\"id\":\"c1\",\"status\":\"ok\"}"));
+    in_callback.get_future().wait();
+
+    // The owner dies. c2's forward fails, the router marks the owner
+    // dead, and the owner is still on the ring: the window in which the
+    // router used to answer "no live backend for this key".
+    dying.closeConn();
+    std::promise<std::string> answered;
+    std::future<std::string> response = answered.get_future();
+    router.handleClientLine(second_line,
+                            [&answered](const std::string &line) {
+                                answered.set_value(line);
+                            });
+    const bool answered_in_window =
+        response.wait_for(std::chrono::milliseconds(0)) ==
+        std::future_status::ready;
+    release.set_value(); // Lets the reader run failover().
+    ASSERT_FALSE(answered_in_window) << response.get();
+
+    // failover() re-dispatches c2 to the key's next owner.
+    const std::string forwarded = readCheckLine(heir);
+    ASSERT_NE(forwarded.find("\"id\":\"c2\""), std::string::npos);
+    const std::string heir_response =
+        "{\"id\":\"c2\",\"status\":\"ok\",\"fake\":true}";
+    ASSERT_TRUE(heir.sendLine(heir_response));
+    ASSERT_EQ(response.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready);
+    EXPECT_EQ(response.get(), heir_response);
+    EXPECT_EQ(router.stats().failovers, 1u);
 }
 
 TEST(RouterShip, FailedStartClosesTheBackendsThatDidConnect)

@@ -154,6 +154,39 @@ TEST(Service, IdenticalWorkUnderDifferentIdsDeduplicates)
     EXPECT_DOUBLE_EQ(snap.dedupHitRate(), 0.5);
 }
 
+TEST(Service, ConcurrentIdenticalWorkUnderDifferentIdsMatchesOneShot)
+{
+    // Two clients ask for the same configuration at once. Neither finds
+    // the other's units in the store yet, so both may execute some of
+    // them and race to put them; each response must still carry the
+    // one-shot bytes.
+    ServiceConfig cfg;
+    cfg.jobs = 2;
+    Service service(cfg);
+    for (const std::uint64_t seed : {1000, 1001, 1002}) {
+        const std::string expected = oneShotReport("radix", 6, seed);
+        std::promise<void> go;
+        const std::shared_future<void> start = go.get_future().share();
+        std::vector<std::future<std::string>> responses;
+        for (const char *id : {"dup-a", "dup-b"}) {
+            const std::string line =
+                checkLine(id + std::to_string(seed), "radix", 6, seed);
+            responses.push_back(
+                std::async(std::launch::async, [&service, start, line] {
+                    start.wait();
+                    return service.handleLine(line);
+                }));
+        }
+        go.set_value();
+        for (std::future<std::string> &response : responses) {
+            const std::string line = response.get();
+            EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos)
+                << line;
+            EXPECT_EQ(embeddedReport(line), expected) << "seed=" << seed;
+        }
+    }
+}
+
 TEST(Service, CampaignsShareUnitsAcrossRunCounts)
 {
     // A longer campaign over the same canonical config reuses every
