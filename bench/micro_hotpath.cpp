@@ -38,6 +38,7 @@
 #include "race/race_detector.hpp"
 #include "sim/lambda_program.hpp"
 #include "sim/machine.hpp"
+#include "support/json_writer.hpp"
 #include "support/rng.hpp"
 
 using namespace icheck;
@@ -306,16 +307,6 @@ machineCheckRate(int runs, int phases)
     });
 }
 
-void
-emitBlock(std::FILE *out, const char *name, const Metrics &m)
-{
-    std::fprintf(out, "  \"%s\": {", name);
-    for (std::size_t i = 0; i < kKeys.size(); ++i)
-        std::fprintf(out, "%s\n    \"%s\": %.0f", i == 0 ? "" : ",",
-                     kKeys[i].c_str(), m[i]);
-    std::fprintf(out, "\n  }");
-}
-
 } // namespace
 
 int
@@ -363,19 +354,23 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < kKeys.size(); ++i)
         std::printf("%34s %14.0f\n", kKeys[i].c_str(), cur[i]);
 
+    JsonWriter json;
+    json.beginObject()
+        .key("bench").string("micro_hotpath")
+        .key("quick").boolean(quick)
+        .key("hardwareConcurrency").uint64(hw)
+        .key("current")
+        .beginObject();
+    for (std::size_t i = 0; i < kKeys.size(); ++i)
+        json.key(kKeys[i]).fixed(cur[i], 0);
+    json.endObject().endObject();
+
     std::FILE *out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
         return 1;
     }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"micro_hotpath\",\n"
-                 "  \"quick\": %s,\n"
-                 "  \"hardwareConcurrency\": %u,\n",
-                 quick ? "true" : "false", hw);
-    emitBlock(out, "current", cur);
-    std::fprintf(out, "\n}\n");
+    std::fprintf(out, "%s\n", json.take().c_str());
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;

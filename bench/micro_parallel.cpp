@@ -25,6 +25,7 @@
 #include "apps/app_registry.hpp"
 #include "runtime/parallel_driver.hpp"
 #include "runtime/result_sink.hpp"
+#include "support/json_writer.hpp"
 
 using namespace icheck;
 
@@ -144,34 +145,38 @@ main(int argc, char **argv)
                     sample.identical ? "yes" : "NO");
     }
 
+    JsonWriter json;
+    json.beginObject()
+        .key("bench").string("micro_parallel")
+        .key("app").string(kApp)
+        .key("runs").int64(kRuns)
+        .key("hardwareConcurrency").uint64(hw)
+        .key("reportsBitIdentical").boolean(all_identical)
+        .key("serial")
+        .beginObject()
+        .key("runsPerSec").fixed(serial.runsPerSec, 1)
+        .key("seconds").fixed(serial.seconds, 4)
+        .endObject()
+        .key("parallel")
+        .beginArray();
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        json.beginObject()
+            .key("jobs").int64(job_counts[i])
+            .key("runsPerSec").fixed(samples[i].runsPerSec, 1)
+            .key("seconds").fixed(samples[i].seconds, 4)
+            .key("speedup")
+            .fixed(samples[i].runsPerSec / serial.runsPerSec, 2)
+            .key("workerUtilization").fixed(samples[i].utilization, 3)
+            .endObject();
+    }
+    json.endArray().endObject();
+
     std::FILE *out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
         return 1;
     }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"micro_parallel\",\n"
-                 "  \"app\": \"%s\",\n"
-                 "  \"runs\": %d,\n"
-                 "  \"hardwareConcurrency\": %u,\n"
-                 "  \"reportsBitIdentical\": %s,\n"
-                 "  \"serial\": {\"runsPerSec\": %.1f, \"seconds\": "
-                 "%.4f},\n"
-                 "  \"parallel\": [",
-                 kApp, kRuns, hw, all_identical ? "true" : "false",
-                 serial.runsPerSec, serial.seconds);
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        std::fprintf(out,
-                     "%s\n    {\"jobs\": %d, \"runsPerSec\": %.1f, "
-                     "\"seconds\": %.4f, \"speedup\": %.2f, "
-                     "\"workerUtilization\": %.3f}",
-                     i == 0 ? "" : ",", job_counts[i],
-                     samples[i].runsPerSec, samples[i].seconds,
-                     samples[i].runsPerSec / serial.runsPerSec,
-                     samples[i].utilization);
-    }
-    std::fprintf(out, "\n  ]\n}\n");
+    std::fprintf(out, "%s\n", json.take().c_str());
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());
     return all_identical ? 0 : 1;

@@ -32,6 +32,7 @@
 #include "mem/memory.hpp"
 #include "sim/lambda_program.hpp"
 #include "sim/machine.hpp"
+#include "support/json_writer.hpp"
 #include "support/rng.hpp"
 
 using namespace icheck;
@@ -243,16 +244,6 @@ exploreRate(bool checkpoints, int max_runs)
     });
 }
 
-void
-emitBlock(std::FILE *out, const char *name, const Metrics &m)
-{
-    std::fprintf(out, "  \"%s\": {", name);
-    for (std::size_t i = 0; i < kKeys.size(); ++i)
-        std::fprintf(out, "%s\n    \"%s\": %.0f", i == 0 ? "" : ",",
-                     kKeys[i].c_str(), m[i]);
-    std::fprintf(out, "\n  }");
-}
-
 } // namespace
 
 int
@@ -298,20 +289,24 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < kKeys.size(); ++i)
         std::printf("%28s %14.0f\n", kKeys[i].c_str(), cur[i]);
 
+    JsonWriter json;
+    json.beginObject()
+        .key("bench").string("micro_snapshot")
+        .key("quick").boolean(quick)
+        .key("checkpointing").boolean(warm)
+        .key("hardwareConcurrency").uint64(hw)
+        .key("current")
+        .beginObject();
+    for (std::size_t i = 0; i < kKeys.size(); ++i)
+        json.key(kKeys[i]).fixed(cur[i], 0);
+    json.endObject().endObject();
+
     std::FILE *out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
         return 1;
     }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"micro_snapshot\",\n"
-                 "  \"quick\": %s,\n"
-                 "  \"checkpointing\": %s,\n"
-                 "  \"hardwareConcurrency\": %u,\n",
-                 quick ? "true" : "false", warm ? "true" : "false", hw);
-    emitBlock(out, "current", cur);
-    std::fprintf(out, "\n}\n");
+    std::fprintf(out, "%s\n", json.take().c_str());
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;

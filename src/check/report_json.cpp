@@ -1,10 +1,7 @@
 #include "check/report_json.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "hashing/crc64.hpp"
-#include "support/json_escape.hpp"
+#include "support/json_writer.hpp"
 
 namespace icheck::check
 {
@@ -40,42 +37,25 @@ recordsDigest(const DriverReport &report)
 } // namespace
 
 std::string
-canonicalDouble(double value)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
-}
-
-std::string
 renderReportJson(const DriverReport &report)
 {
-    char head[256];
-    std::snprintf(head, sizeof head,
-                  "{\"app\":\"%s\",\"scheme\":\"%s\",\"runs\":%d,"
-                  "\"deterministic\":%s,\"firstNdetRun\":%d,"
-                  "\"checkpointCountsMatch\":%s,"
-                  "\"detPoints\":%" PRIu64 ",\"ndetPoints\":%" PRIu64
-                  ",\"detAtEnd\":%s,\"outputDeterministic\":%s,"
-                  "\"recordsDigest\":\"%016" PRIx64 "\"",
-                  jsonEscapeText(report.app).c_str(),
-                  jsonEscapeText(report.scheme).c_str(), report.runs,
-                  report.deterministic() ? "true" : "false",
-                  report.firstNdetRun,
-                  report.checkpointCountsMatch ? "true" : "false",
-                  report.detPoints, report.ndetPoints,
-                  report.detAtEnd ? "true" : "false",
-                  report.outputDeterministic ? "true" : "false",
-                  recordsDigest(report));
-    std::string json(head);
-    json += ",\"avgNativeInstrs\":" +
-            canonicalDouble(report.avgNativeInstrs);
-    json += ",\"avgOverheadInstrs\":" +
-            canonicalDouble(report.avgOverheadInstrs);
-    json += ",\"overheadFactor\":" +
-            canonicalDouble(report.overheadFactor());
-    json += "}";
-    return json;
+    return JsonWriter()
+        .beginObject()
+        .key("app").string(report.app)
+        .key("scheme").string(report.scheme)
+        .key("runs").int64(report.runs)
+        .key("deterministic").boolean(report.deterministic())
+        .key("firstNdetRun").int64(report.firstNdetRun)
+        .key("checkpointCountsMatch").boolean(report.checkpointCountsMatch)
+        .key("detPoints").uint64(report.detPoints)
+        .key("ndetPoints").uint64(report.ndetPoints)
+        .key("detAtEnd").boolean(report.detAtEnd)
+        .key("outputDeterministic").boolean(report.outputDeterministic)
+        .key("recordsDigest").hex16(recordsDigest(report))
+        .key("avgNativeInstrs").number(report.avgNativeInstrs)
+        .key("avgOverheadInstrs").number(report.avgOverheadInstrs)
+        .key("overheadFactor").number(report.overheadFactor())
+        .endObject().take();
 }
 
 } // namespace icheck::check

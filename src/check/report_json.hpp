@@ -31,9 +31,6 @@ namespace icheck::check
  */
 std::string renderReportJson(const DriverReport &report);
 
-/** Format a double the way the canonical renderer does ("%.17g"). */
-std::string canonicalDouble(double value);
-
 } // namespace icheck::check
 
 #endif // ICHECK_CHECK_REPORT_JSON_HPP

@@ -1,13 +1,13 @@
 #include "explore/explorer.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <memory>
 
 #include "explore/dpor.hpp"
 #include "explore/hb_signature.hpp"
 #include "explore/snapshot_tree.hpp"
+#include "support/json_writer.hpp"
 #include "support/logging.hpp"
 
 namespace icheck::explore
@@ -20,28 +20,28 @@ renderStatsJson(const ExploreStats &s)
         s.sigInserts == 0 ? 0.0
                           : 1.0 - static_cast<double>(s.sigUnique) /
                                       static_cast<double>(s.sigInserts);
-    char line[768];
-    std::snprintf(
-        line, sizeof line,
-        "{\"checkpointing\": %s, \"nodes_expanded\": %" PRIu64 ", "
-        "\"checkpoint_hits\": %" PRIu64 ", \"checkpoint_misses\": %" PRIu64
-        ", \"checkpoints_created\": %" PRIu64 ", "
-        "\"checkpoints_evicted\": %" PRIu64 ", "
-        "\"checkpoint_bytes\": %" PRIu64 ", \"pages_cow_cloned\": %" PRIu64
-        ", \"decisions_restored\": %" PRIu64 ", "
-        "\"decisions_executed\": %" PRIu64 ", \"sig_inserts\": %" PRIu64
-        ", \"sig_unique\": %" PRIu64 ", \"dedup_rate\": %.4f, "
-        "\"dpor\": %s, \"traces_explored\": %" PRIu64
-        ", \"dpor_races\": %" PRIu64 ", \"backtracks_inserted\": %" PRIu64
-        ", \"sleep_set_hits\": %" PRIu64 ", \"dpor_pruned\": %" PRIu64 "}",
-        s.checkpointing ? "true" : "false", s.nodesExpanded,
-        s.checkpointHits, s.checkpointMisses, s.checkpointsCreated,
-        s.checkpointsEvicted, s.checkpointBytes, s.pagesCowCloned,
-        s.decisionsRestored, s.decisionsExecuted, s.sigInserts,
-        s.sigUnique, dedup, s.dporActive ? "true" : "false",
-        s.tracesExplored, s.dporRaces, s.backtracksInserted,
-        s.sleepSetHits, s.dporPruned);
-    return line;
+    return JsonWriter()
+        .beginObject()
+        .key("checkpointing").boolean(s.checkpointing)
+        .key("nodes_expanded").uint64(s.nodesExpanded)
+        .key("checkpoint_hits").uint64(s.checkpointHits)
+        .key("checkpoint_misses").uint64(s.checkpointMisses)
+        .key("checkpoints_created").uint64(s.checkpointsCreated)
+        .key("checkpoints_evicted").uint64(s.checkpointsEvicted)
+        .key("checkpoint_bytes").uint64(s.checkpointBytes)
+        .key("pages_cow_cloned").uint64(s.pagesCowCloned)
+        .key("decisions_restored").uint64(s.decisionsRestored)
+        .key("decisions_executed").uint64(s.decisionsExecuted)
+        .key("sig_inserts").uint64(s.sigInserts)
+        .key("sig_unique").uint64(s.sigUnique)
+        .key("dedup_rate").fixed(dedup, 4)
+        .key("dpor").boolean(s.dporActive)
+        .key("traces_explored").uint64(s.tracesExplored)
+        .key("dpor_races").uint64(s.dporRaces)
+        .key("backtracks_inserted").uint64(s.backtracksInserted)
+        .key("sleep_set_hits").uint64(s.sleepSetHits)
+        .key("dpor_pruned").uint64(s.dporPruned)
+        .endObject().take();
 }
 
 void

@@ -154,10 +154,9 @@ struct ExploreStats
 };
 
 /**
- * Render @p stats as the canonical single-line JSON object shared by
- * `icheck explore --stats` and the campaign service's explore
- * responses. Fixed key order, fixed "%.4f" dedup-rate formatting —
- * consumers diff these lines byte-for-byte.
+ * Render @p stats as the single-line JSON object `icheck explore
+ * --stats` prints. Fixed key order, fixed "%.4f" dedup-rate formatting
+ * — consumers diff these lines byte-for-byte.
  */
 std::string renderStatsJson(const ExploreStats &stats);
 

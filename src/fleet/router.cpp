@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -15,7 +15,6 @@
 #include "service/json.hpp"
 #include "service/protocol.hpp"
 #include "support/exit_codes.hpp"
-#include "support/json_escape.hpp"
 #include "support/logging.hpp"
 
 namespace icheck::fleet
@@ -73,32 +72,24 @@ routingKeyOf(const service::Frame &frame)
 std::string
 renderPullRequest(std::uint64_t from, std::uint32_t max_bytes)
 {
-    return std::string("{\"id\":\"") + pullId +
-           "\",\"op\":\"pull\",\"from\":" + std::to_string(from) +
-           ",\"max\":" + std::to_string(max_bytes) + "}";
+    return JsonWriter()
+        .beginObject()
+        .key("id").string(pullId)
+        .key("op").string("pull")
+        .key("from").uint64(from)
+        .key("max").uint64(max_bytes)
+        .endObject().take();
 }
 
 std::string
 renderInstallRequest(const std::string &frames)
 {
-    return std::string("{\"id\":\"") + installId +
-           "\",\"op\":\"install\",\"frames\":\"" +
-           service::hexEncode(frames) + "\"}";
-}
-
-/** The verbatim `"stats":{...}` object of a backend stats response
- *  (the object is flat, so the first '}' closes it). Empty if absent. */
-std::string
-extractStatsObject(const std::string &response)
-{
-    const std::size_t start = response.find("\"stats\":{");
-    if (start == std::string::npos)
-        return {};
-    const std::size_t open = start + 8;
-    const std::size_t close = response.find('}', open);
-    if (close == std::string::npos)
-        return {};
-    return response.substr(open, close - open + 1);
+    return JsonWriter()
+        .beginObject()
+        .key("id").string(installId)
+        .key("op").string("install")
+        .key("frames").string(service::hexEncode(frames))
+        .endObject().take();
 }
 
 } // namespace
@@ -754,7 +745,8 @@ Router::handleStats(const std::string &id, const std::string &line,
         bool alive = false;
         std::uint64_t replicaFrames = 0;
         std::uint64_t replicaBytes = 0;
-        std::string statsObject;
+        /** The backend's flat, all-numeric `stats` object, if any. */
+        std::optional<service::JsonValue> stats;
     };
     std::vector<PerBackend> rows;
 
@@ -780,33 +772,32 @@ Router::handleStats(const std::string &id, const std::string &line,
             backend->framesReplicated.load(std::memory_order_relaxed);
         row.replicaBytes = backend->replica.logBytes();
         if (row.alive) {
-            const std::string response =
-                forwardAndWait(*backend, id, line);
-            row.statsObject = extractStatsObject(response);
+            auto response =
+                service::parseJson(forwardAndWait(*backend, id, line));
+            const service::JsonValue *stats =
+                response.has_value() ? response->find("stats") : nullptr;
+            if (stats != nullptr && stats->isObject())
+                row.stats = *stats;
             row.alive = backend->alive.load(std::memory_order_acquire);
         }
-        if (row.alive && !row.statsObject.empty()) {
+        if (row.alive && row.stats.has_value()) {
             ++alive_count;
-            const auto parsed = service::parseJson(row.statsObject);
-            if (parsed.has_value() && parsed->isObject()) {
-                const auto add = [&parsed](const char *key,
-                                           std::uint64_t &into) {
-                    const service::JsonValue *field = parsed->find(key);
-                    if (field == nullptr)
-                        return;
-                    const auto value = field->asU64();
-                    if (value.has_value())
-                        into += *value;
-                };
-                add("requestsCompleted", total.requestsCompleted);
-                add("checksCompleted", total.checksCompleted);
-                add("unitsExecuted", total.unitsExecuted);
-                add("unitsReused", total.unitsReused);
-                add("framesAppended", total.framesAppended);
-                add("framesInstalled", total.framesInstalled);
-                add("storeBytes", total.storeBytes);
-                add("storeKeys", total.storeKeys);
-            }
+            const auto add = [&row](const char *key, std::uint64_t &into) {
+                const service::JsonValue *field = row.stats->find(key);
+                if (field == nullptr)
+                    return;
+                const auto value = field->asU64();
+                if (value.has_value())
+                    into += *value;
+            };
+            add("requestsCompleted", total.requestsCompleted);
+            add("checksCompleted", total.checksCompleted);
+            add("unitsExecuted", total.unitsExecuted);
+            add("unitsReused", total.unitsReused);
+            add("framesAppended", total.framesAppended);
+            add("framesInstalled", total.framesInstalled);
+            add("storeBytes", total.storeBytes);
+            add("storeKeys", total.storeKeys);
         }
         rows.push_back(std::move(row));
     }
@@ -817,56 +808,54 @@ Router::handleStats(const std::string &id, const std::string &line,
         touched > 0.0 ? static_cast<double>(total.unitsReused) / touched
                       : 0.0;
 
-    std::string body = "{\"id\":\"" + jsonEscapeText(id) +
-                       "\",\"status\":\"ok\",\"fleet\":{";
-    body += "\"backends\":" + std::to_string(backends.size());
-    body += ",\"aliveBackends\":" + std::to_string(alive_count);
-    body += ",\"router\":{\"requestsRouted\":" +
-            std::to_string(router_stats.requestsRouted);
-    body += ",\"protocolErrors\":" +
-            std::to_string(router_stats.protocolErrors);
-    body += ",\"framesReplicated\":" +
-            std::to_string(router_stats.framesReplicated);
-    body += ",\"framesReinstalled\":" +
-            std::to_string(router_stats.framesReinstalled);
-    body += ",\"requestsRetried\":" +
-            std::to_string(router_stats.requestsRetried);
-    body += ",\"failovers\":" + std::to_string(router_stats.failovers);
-    body += std::string(",\"syncShip\":") +
-            (topology.syncShip ? "true" : "false") + "}";
-    char dedup_text[32];
-    std::snprintf(dedup_text, sizeof dedup_text, "%.4f", dedup);
-    body += ",\"aggregate\":{\"requestsCompleted\":" +
-            std::to_string(total.requestsCompleted);
-    body += ",\"checksCompleted\":" +
-            std::to_string(total.checksCompleted);
-    body += ",\"unitsExecuted\":" + std::to_string(total.unitsExecuted);
-    body += ",\"unitsReused\":" + std::to_string(total.unitsReused);
-    body += ",\"dedupHitRate\":";
-    body += dedup_text;
-    body += ",\"framesAppended\":" +
-            std::to_string(total.framesAppended);
-    body += ",\"framesInstalled\":" +
-            std::to_string(total.framesInstalled);
-    body += ",\"storeBytes\":" + std::to_string(total.storeBytes);
-    body += ",\"storeKeys\":" + std::to_string(total.storeKeys) + "}";
-    body += ",\"perBackend\":[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const PerBackend &row = rows[i];
-        if (i != 0)
-            body += ',';
-        body += "{\"name\":\"" + jsonEscapeText(row.name) +
-                "\",\"alive\":";
-        body += row.alive ? "true" : "false";
-        body += ",\"replicaFrames\":" +
-                std::to_string(row.replicaFrames);
-        body += ",\"replicaBytes\":" + std::to_string(row.replicaBytes);
-        if (!row.statsObject.empty())
-            body += ",\"stats\":" + row.statsObject;
-        body += '}';
+    JsonWriter json = service::beginResponse(id, "ok");
+    json.key("fleet")
+        .beginObject()
+        .key("backends").uint64(backends.size())
+        .key("aliveBackends").uint64(alive_count)
+        .key("router")
+        .beginObject()
+        .key("requestsRouted").uint64(router_stats.requestsRouted)
+        .key("protocolErrors").uint64(router_stats.protocolErrors)
+        .key("framesReplicated").uint64(router_stats.framesReplicated)
+        .key("framesReinstalled").uint64(router_stats.framesReinstalled)
+        .key("requestsRetried").uint64(router_stats.requestsRetried)
+        .key("failovers").uint64(router_stats.failovers)
+        .key("syncShip").boolean(topology.syncShip)
+        .endObject()
+        .key("aggregate")
+        .beginObject()
+        .key("requestsCompleted").uint64(total.requestsCompleted)
+        .key("checksCompleted").uint64(total.checksCompleted)
+        .key("unitsExecuted").uint64(total.unitsExecuted)
+        .key("unitsReused").uint64(total.unitsReused)
+        .key("dedupHitRate").fixed(dedup, 4)
+        .key("framesAppended").uint64(total.framesAppended)
+        .key("framesInstalled").uint64(total.framesInstalled)
+        .key("storeBytes").uint64(total.storeBytes)
+        .key("storeKeys").uint64(total.storeKeys)
+        .endObject()
+        .key("perBackend")
+        .beginArray();
+    for (const PerBackend &row : rows) {
+        json.beginObject()
+            .key("name").string(row.name)
+            .key("alive").boolean(row.alive)
+            .key("replicaFrames").uint64(row.replicaFrames)
+            .key("replicaBytes").uint64(row.replicaBytes);
+        if (row.stats.has_value()) {
+            // A daemon's stats object is flat and all-numeric;
+            // re-emitting each number's own lexeme reproduces the
+            // backend's bytes exactly.
+            json.key("stats").beginObject();
+            for (const auto &[name, value] : row.stats->members)
+                if (value.isNumber())
+                    json.key(name).raw(value.text);
+            json.endObject();
+        }
+        json.endObject();
     }
-    body += "]}}";
-    respond(body);
+    respond(json.endArray().endObject().endObject().take());
 }
 
 void
@@ -884,8 +873,9 @@ Router::handleDrain(const std::string &id, const std::string &line,
             continue;
         forwardAndWait(*backend, id, line);
     }
-    respond("{\"id\":\"" + jsonEscapeText(id) +
-            "\",\"status\":\"ok\",\"draining\":true}");
+    respond(service::beginResponse(id, "ok")
+                .key("draining").boolean(true)
+                .endObject().take());
     drainComplete.store(true, std::memory_order_release);
 }
 

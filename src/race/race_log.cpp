@@ -4,7 +4,7 @@
 #include <set>
 #include <tuple>
 
-#include "support/json_escape.hpp"
+#include "support/json_writer.hpp"
 
 namespace icheck::race
 {
@@ -16,6 +16,17 @@ Addr
 granuleOf(Addr addr)
 {
     return addr & ~Addr{7};
+}
+
+void
+writeEndpoint(JsonWriter &json, const char *name, const AccessSite &site)
+{
+    json.key(name)
+        .beginObject()
+        .key("tid").int64(site.tid)
+        .key("file").string(site.file)
+        .key("line").int64(site.line)
+        .endObject();
 }
 
 } // namespace
@@ -104,15 +115,14 @@ writeRaceLogJsonl(std::ostream &out, const std::string &app,
                   const std::vector<AttributedRace> &races)
 {
     for (const AttributedRace &race : races) {
-        out << "{\"app\":\"" << jsonEscapeText(app) << "\",\"kind\":\""
-            << raceKindName(race.record.kind) << "\",\"symbol\":\""
-            << jsonEscapeText(race.symbol) << "\",\"first\":{\"tid\":"
-            << race.first.tid << ",\"file\":\""
-            << jsonEscapeText(race.first.file) << "\",\"line\":"
-            << race.first.line << "},\"second\":{\"tid\":"
-            << race.second.tid << ",\"file\":\""
-            << jsonEscapeText(race.second.file) << "\",\"line\":"
-            << race.second.line << "}}\n";
+        JsonWriter json;
+        json.beginObject()
+            .key("app").string(app)
+            .key("kind").string(raceKindName(race.record.kind))
+            .key("symbol").string(race.symbol);
+        writeEndpoint(json, "first", race.first);
+        writeEndpoint(json, "second", race.second);
+        out << json.endObject().take() << '\n';
     }
 }
 

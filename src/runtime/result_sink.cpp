@@ -1,18 +1,11 @@
 #include "runtime/result_sink.hpp"
 
-#include <cstdio>
 #include <ostream>
 
-#include "support/json_escape.hpp"
+#include "support/json_writer.hpp"
 
 namespace icheck::runtime
 {
-
-std::string
-jsonEscape(const std::string &text)
-{
-    return jsonEscapeText(text);
-}
 
 void
 ResultSink::onRun(const std::string &app, const std::string &scheme,
@@ -25,25 +18,23 @@ ResultSink::onRun(const std::string &app, const std::string &scheme,
     const HashWord final_hash = record.checkpointHashes.empty()
                                     ? HashWord{0}
                                     : record.checkpointHashes.back();
-    char line[512];
-    std::snprintf(
-        line, sizeof line,
-        "{\"type\":\"run\",\"app\":\"%s\",\"scheme\":\"%s\","
-        "\"run\":%d,\"checkpoints\":%zu,"
-        "\"finalHash\":\"%016llx\",\"outputHash\":\"%016llx\","
-        "\"outputBytes\":%llu,\"nativeInstrs\":%llu,"
-        "\"overheadInstrs\":%llu,\"seconds\":%.6f}",
-        jsonEscape(app).c_str(), jsonEscape(scheme).c_str(), run,
-        record.checkpointHashes.size(),
-        static_cast<unsigned long long>(final_hash),
-        static_cast<unsigned long long>(record.outputHash),
-        static_cast<unsigned long long>(record.outputBytes),
-        static_cast<unsigned long long>(record.result.nativeInstrs),
-        static_cast<unsigned long long>(
-            record.result.overheadInstrs +
-            record.checkerOverheadInstrs),
-        seconds);
-    *out << line << '\n';
+    JsonWriter json;
+    json.beginObject()
+        .key("type").string("run")
+        .key("app").string(app)
+        .key("scheme").string(scheme)
+        .key("run").int64(run)
+        .key("checkpoints").uint64(record.checkpointHashes.size())
+        .key("finalHash").hex16(final_hash)
+        .key("outputHash").hex16(record.outputHash)
+        .key("outputBytes").uint64(record.outputBytes)
+        .key("nativeInstrs").uint64(record.result.nativeInstrs)
+        .key("overheadInstrs")
+        .uint64(record.result.overheadInstrs +
+                record.checkerOverheadInstrs)
+        .key("seconds").fixed(seconds, 6)
+        .endObject();
+    *out << json.take() << '\n';
 }
 
 void
@@ -53,20 +44,20 @@ ResultSink::onCampaignEnd(const CampaignCounters &counters)
     last = counters;
     if (out == nullptr)
         return;
-    char line[512];
-    std::snprintf(
-        line, sizeof line,
-        "{\"type\":\"campaign\",\"app\":\"%s\",\"scheme\":\"%s\","
-        "\"runs\":%d,\"jobs\":%d,\"wallSeconds\":%.6f,"
-        "\"runsPerSec\":%.2f,\"workerUtilization\":%.4f,"
-        "\"tasksStolen\":%llu,\"maxQueueDepth\":%llu}",
-        jsonEscape(counters.app).c_str(),
-        jsonEscape(counters.scheme).c_str(), counters.runs, counters.jobs,
-        counters.wallSeconds, counters.runsPerSec,
-        counters.workerUtilization,
-        static_cast<unsigned long long>(counters.tasksStolen),
-        static_cast<unsigned long long>(counters.maxQueueDepth));
-    *out << line << '\n';
+    JsonWriter json;
+    json.beginObject()
+        .key("type").string("campaign")
+        .key("app").string(counters.app)
+        .key("scheme").string(counters.scheme)
+        .key("runs").int64(counters.runs)
+        .key("jobs").int64(counters.jobs)
+        .key("wallSeconds").fixed(counters.wallSeconds, 6)
+        .key("runsPerSec").fixed(counters.runsPerSec, 2)
+        .key("workerUtilization").fixed(counters.workerUtilization, 4)
+        .key("tasksStolen").uint64(counters.tasksStolen)
+        .key("maxQueueDepth").uint64(counters.maxQueueDepth)
+        .endObject();
+    *out << json.take() << '\n';
     out->flush();
 }
 

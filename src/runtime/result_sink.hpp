@@ -71,9 +71,6 @@ class ResultSink
     CampaignCounters last;
 };
 
-/** Escape a string for embedding in a JSON value. */
-std::string jsonEscape(const std::string &text);
-
 } // namespace icheck::runtime
 
 #endif // ICHECK_RUNTIME_RESULT_SINK_HPP

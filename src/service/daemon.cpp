@@ -1,13 +1,10 @@
 #include "service/daemon.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <vector>
 
 #include "check/report_json.hpp"
 #include "service/frame.hpp"
 #include "runtime/parallel_driver.hpp"
-#include "support/json_escape.hpp"
 
 namespace icheck::service
 {
@@ -67,8 +64,9 @@ Service::handleLine(const std::string &line)
         break;
       case RequestOp::Drain:
         drainFlag.store(true, std::memory_order_release);
-        response = "{\"id\":\"" + jsonEscapeText(request.id) +
-                   "\",\"status\":\"ok\",\"draining\":true}";
+        response = beginResponse(request.id, "ok")
+                       .key("draining").boolean(true)
+                       .endObject().take();
         break;
       case RequestOp::Pull:
         // Read-only: a draining backend keeps serving its log so the
@@ -221,30 +219,31 @@ std::string
 Service::renderStatsResponse(const std::string &id) const
 {
     const ServiceSnapshot snap = snapshot();
-    char body[1536];
-    std::snprintf(
-        body, sizeof body,
-        "{\"id\":\"%s\",\"status\":\"ok\",\"stats\":{"
-        "\"requestsCompleted\":%" PRIu64 ",\"checksCompleted\":%" PRIu64
-        ",\"protocolErrors\":%" PRIu64 ",\"checkErrors\":%" PRIu64
-        ",\"busyRejected\":%" PRIu64 ",\"drainRejected\":%" PRIu64
-        ",\"responsesCached\":%" PRIu64 ",\"unitsExecuted\":%" PRIu64
-        ",\"unitsReused\":%" PRIu64 ",\"dedupHitRate\":%.4f,"
-        "\"queueDepth\":%zu,\"inFlight\":%zu,"
-        "\"uptimeSeconds\":%.3f,\"requestsPerSec\":%.2f,"
-        "\"storeKeys\":%zu,\"storeBytes\":%" PRIu64
-        ",\"framesAppended\":%" PRIu64 ",\"framesInstalled\":%" PRIu64
-        ",\"storeFramesLoaded\":%" PRIu64
-        ",\"storeBytesDropped\":%" PRIu64 "}}",
-        jsonEscapeText(id).c_str(), snap.requestsCompleted,
-        snap.checksCompleted, snap.protocolErrors, snap.checkErrors,
-        snap.busyRejected, snap.drainRejected, snap.responsesCached,
-        snap.unitsExecuted, snap.unitsReused, snap.dedupHitRate(),
-        snap.queueDepth, snap.inFlight, snap.uptimeSeconds,
-        snap.requestsPerSec, snap.storeKeys, snap.storeBytes,
-        snap.store.puts, snap.framesInstalled, snap.store.framesLoaded,
-        snap.store.bytesDropped);
-    return body;
+    return beginResponse(id, "ok")
+        .key("stats")
+        .beginObject()
+        .key("requestsCompleted").uint64(snap.requestsCompleted)
+        .key("checksCompleted").uint64(snap.checksCompleted)
+        .key("protocolErrors").uint64(snap.protocolErrors)
+        .key("checkErrors").uint64(snap.checkErrors)
+        .key("busyRejected").uint64(snap.busyRejected)
+        .key("drainRejected").uint64(snap.drainRejected)
+        .key("responsesCached").uint64(snap.responsesCached)
+        .key("unitsExecuted").uint64(snap.unitsExecuted)
+        .key("unitsReused").uint64(snap.unitsReused)
+        .key("dedupHitRate").fixed(snap.dedupHitRate(), 4)
+        .key("queueDepth").uint64(snap.queueDepth)
+        .key("inFlight").uint64(snap.inFlight)
+        .key("uptimeSeconds").fixed(snap.uptimeSeconds, 3)
+        .key("requestsPerSec").fixed(snap.requestsPerSec, 2)
+        .key("storeKeys").uint64(snap.storeKeys)
+        .key("storeBytes").uint64(snap.storeBytes)
+        .key("framesAppended").uint64(snap.store.puts)
+        .key("framesInstalled").uint64(snap.framesInstalled)
+        .key("storeFramesLoaded").uint64(snap.store.framesLoaded)
+        .key("storeBytesDropped").uint64(snap.store.bytesDropped)
+        .endObject()
+        .endObject().take();
 }
 
 } // namespace icheck::service

@@ -9,7 +9,6 @@
 #include "check/report_json.hpp"
 #include "runtime/parallel_driver.hpp"
 #include "service/record_codec.hpp"
-#include "support/json_escape.hpp"
 
 namespace icheck::service
 {
@@ -39,17 +38,15 @@ std::string
 renderOkResponse(const std::string &id, const check::DriverReport &report,
                  int units_executed, int units_reused, bool log_reused)
 {
-    std::string body = "{\"id\":\"" + jsonEscapeText(id) +
-                       "\",\"status\":\"ok\",\"verdict\":\"";
-    body += report.deterministic() ? "deterministic" : "nondeterministic";
-    body += "\",\"unitsExecuted\":" + std::to_string(units_executed);
-    body += ",\"unitsReused\":" + std::to_string(units_reused);
-    body += ",\"logReused\":";
-    body += log_reused ? "true" : "false";
-    body += ",\"report\":";
-    body += check::renderReportJson(report);
-    body += "}";
-    return body;
+    return beginResponse(id, "ok")
+        .key("verdict")
+        .string(report.deterministic() ? "deterministic"
+                                       : "nondeterministic")
+        .key("unitsExecuted").int64(units_executed)
+        .key("unitsReused").int64(units_reused)
+        .key("logReused").boolean(log_reused)
+        .key("report").raw(check::renderReportJson(report))
+        .endObject().take();
 }
 
 } // namespace

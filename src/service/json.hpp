@@ -13,9 +13,7 @@
  * round-trip exactly. Members preserve source order, which lets the
  * codec reject unknown fields with a precise message.
  *
- * Writing JSON stays hand-rendered at each call site (result sink
- * idiom) — responses need deterministic bytes, and a format-preserving
- * writer is simpler to audit than a generic one.
+ * Writing goes through support/json_writer.hpp, the one JSON writer.
  */
 
 #include <cstdint>

@@ -4,7 +4,6 @@
 
 #include "service/frame.hpp"
 #include "service/json.hpp"
-#include "support/json_escape.hpp"
 
 namespace icheck::service
 {
@@ -266,36 +265,45 @@ responseKey(const std::string &id)
     return "resp#" + id;
 }
 
+JsonWriter
+beginResponse(const std::string &id, const char *status)
+{
+    JsonWriter json;
+    json.beginObject().key("id").string(id).key("status").string(status);
+    return json;
+}
+
 std::string
 renderErrorResponse(const std::string &id, const std::string &message)
 {
-    return "{\"id\":\"" + jsonEscapeText(id) +
-           "\",\"status\":\"error\",\"error\":\"" +
-           jsonEscapeText(message) + "\"}";
+    return beginResponse(id, "error")
+        .key("error").string(message)
+        .endObject().take();
 }
 
 std::string
 renderBusyResponse(const std::string &id, std::size_t queue_depth)
 {
-    return "{\"id\":\"" + jsonEscapeText(id) +
-           "\",\"status\":\"busy\",\"error\":\"queue full\","
-           "\"queueDepth\":" +
-           std::to_string(queue_depth) + "}";
+    return beginResponse(id, "busy")
+        .key("error").string("queue full")
+        .key("queueDepth").uint64(queue_depth)
+        .endObject().take();
 }
 
 std::string
 renderDrainingResponse(const std::string &id)
 {
-    return "{\"id\":\"" + jsonEscapeText(id) +
-           "\",\"status\":\"draining\",\"error\":\"daemon is "
-           "draining\"}";
+    return beginResponse(id, "draining")
+        .key("error").string("daemon is draining")
+        .endObject().take();
 }
 
 std::string
 renderPongResponse(const std::string &id)
 {
-    return "{\"id\":\"" + jsonEscapeText(id) +
-           "\",\"status\":\"ok\",\"pong\":true}";
+    return beginResponse(id, "ok")
+        .key("pong").boolean(true)
+        .endObject().take();
 }
 
 std::string
@@ -303,25 +311,22 @@ renderPullResponse(const std::string &id, std::uint64_t from,
                    std::uint64_t next, bool eof,
                    const std::string &frames_hex)
 {
-    std::string out = "{\"id\":\"" + jsonEscapeText(id) +
-                      "\",\"status\":\"ok\",\"from\":" +
-                      std::to_string(from) +
-                      ",\"next\":" + std::to_string(next) +
-                      ",\"eof\":" + (eof ? "true" : "false") +
-                      ",\"frames\":\"";
-    out += frames_hex; // Hex is JSON-safe by construction.
-    out += "\"}";
-    return out;
+    return beginResponse(id, "ok")
+        .key("from").uint64(from)
+        .key("next").uint64(next)
+        .key("eof").boolean(eof)
+        .key("frames").string(frames_hex)
+        .endObject().take();
 }
 
 std::string
 renderInstallResponse(const std::string &id, std::uint64_t installed,
                       std::uint64_t duplicates)
 {
-    return "{\"id\":\"" + jsonEscapeText(id) +
-           "\",\"status\":\"ok\",\"installed\":" +
-           std::to_string(installed) +
-           ",\"duplicates\":" + std::to_string(duplicates) + "}";
+    return beginResponse(id, "ok")
+        .key("installed").uint64(installed)
+        .key("duplicates").uint64(duplicates)
+        .endObject().take();
 }
 
 } // namespace icheck::service

@@ -38,6 +38,7 @@
 #include <string>
 
 #include "check/checker.hpp"
+#include "support/json_writer.hpp"
 
 namespace icheck::service
 {
@@ -130,6 +131,12 @@ std::string responseKey(const std::string &id);
 
 /// @name Response rendering (deterministic bytes, no timestamps).
 /// @{
+/**
+ * A writer holding the open response object `{"id":...,"status":...`.
+ * Every response leads with these two members, which lets the router
+ * read a response's id from its prefix without parsing the rest.
+ */
+JsonWriter beginResponse(const std::string &id, const char *status);
 std::string renderErrorResponse(const std::string &id,
                                 const std::string &message);
 std::string renderBusyResponse(const std::string &id,

@@ -1,7 +1,8 @@
 #include "sim/chrome_trace.hpp"
 
 #include <fstream>
-#include <sstream>
+
+#include "support/json_writer.hpp"
 
 namespace icheck::sim
 {
@@ -41,37 +42,6 @@ checkpointKindName(CheckpointKind kind)
     return "unknown";
 }
 
-/** Minimal JSON string escaping — names here are ASCII we control, but
- *  run labels may carry user paths. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 ChromeTraceBuilder::ChromeTraceBuilder(std::string run_label)
@@ -89,7 +59,10 @@ ChromeTraceBuilder::noteThread(ThreadId tid)
     meta.name = "thread_name";
     meta.ph = 'M';
     meta.tid = tid;
-    meta.args = "\"name\":\"sim thread " + std::to_string(tid) + "\"";
+    meta.args = JsonWriter()
+                    .beginObject()
+                    .key("name").string("sim thread " + std::to_string(tid))
+                    .endObject().take();
     out.push_back(std::move(meta));
 }
 
@@ -112,7 +85,10 @@ ChromeTraceBuilder::onSync(const SyncEvent &event)
         ev.ts = it->second;
         ev.dur = now - it->second;
         ev.tid = event.tid;
-        ev.args = "\"object\":" + std::to_string(event.object);
+        ev.args = JsonWriter()
+                      .beginObject()
+                      .key("object").uint64(event.object)
+                      .endObject().take();
         out.push_back(std::move(ev));
         lockStart.erase(it);
         break;
@@ -131,8 +107,11 @@ ChromeTraceBuilder::onSync(const SyncEvent &event)
         ev.ts = it->second;
         ev.dur = now - it->second;
         ev.tid = event.tid;
-        ev.args = "\"object\":" + std::to_string(event.object) +
-                  ",\"epoch\":" + std::to_string(event.epoch);
+        ev.args = JsonWriter()
+                      .beginObject()
+                      .key("object").uint64(event.object)
+                      .key("epoch").uint64(event.epoch)
+                      .endObject().take();
         out.push_back(std::move(ev));
         barrierStart.erase(it);
         break;
@@ -173,8 +152,11 @@ ChromeTraceBuilder::onSlice(const SliceEvent &event)
     ev.ts = start;
     ev.dur = now > start ? now - start : 1;
     ev.tid = event.tid;
-    ev.args = "\"core\":" + std::to_string(event.core) + ",\"end\":\"" +
-              sliceEndName(event.reason) + "\"";
+    ev.args = JsonWriter()
+                  .beginObject()
+                  .key("core").uint64(event.core)
+                  .key("end").string(sliceEndName(event.reason))
+                  .endObject().take();
     out.push_back(std::move(ev));
     if (it != sliceStart.end())
         sliceStart.erase(it);
@@ -199,8 +181,11 @@ ChromeTraceBuilder::onCheckpoint(const CheckpointInfo &info)
     ev.ph = 'I';
     ev.ts = now;
     ev.tid = tid;
-    ev.args = std::string("\"kind\":\"") + checkpointKindName(info.kind) +
-              "\",\"index\":" + std::to_string(info.index);
+    ev.args = JsonWriter()
+                  .beginObject()
+                  .key("kind").string(checkpointKindName(info.kind))
+                  .key("index").uint64(info.index)
+                  .endObject().take();
     out.push_back(std::move(ev));
     marks.push_back(CheckpointMark{info.index, now, info.tid, info.kind});
 }
@@ -222,43 +207,53 @@ ChromeTraceBuilder::markDivergence(std::uint64_t checkpoint_index,
     ev.ph = 'I';
     ev.ts = ts;
     ev.tid = 0;
-    ev.args = "\"detail\":\"" + jsonEscape(detail) + "\"";
+    ev.args = JsonWriter()
+                  .beginObject()
+                  .key("detail").string(detail)
+                  .endObject().take();
     out.push_back(std::move(ev));
 }
 
 std::string
 renderChromeTrace(const std::vector<const ChromeTraceBuilder *> &runs)
 {
-    std::ostringstream os;
-    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
+    JsonWriter json;
+    json.beginObject()
+        .key("displayTimeUnit").string("ms")
+        .key("traceEvents").beginArray();
     std::uint32_t pid = 0;
     for (const ChromeTraceBuilder *run : runs) {
         if (run == nullptr)
             continue;
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-           << ",\"tid\":0,\"args\":{\"name\":\""
-           << jsonEscape(run->label()) << "\"}}";
+        json.beginObject()
+            .key("name").string("process_name")
+            .key("ph").string("M")
+            .key("pid").uint64(pid)
+            .key("tid").uint64(0)
+            .key("args")
+            .beginObject()
+            .key("name").string(run->label())
+            .endObject()
+            .endObject();
         for (const TraceEvent &ev : run->events()) {
-            os << ",{\"name\":\"" << jsonEscape(ev.name) << "\",\"ph\":\""
-               << ev.ph << "\",\"pid\":" << pid << ",\"tid\":" << ev.tid;
+            json.beginObject()
+                .key("name").string(ev.name)
+                .key("ph").string(std::string_view(&ev.ph, 1))
+                .key("pid").uint64(pid)
+                .key("tid").uint64(ev.tid);
             if (ev.ph != 'M')
-                os << ",\"ts\":" << ev.ts;
+                json.key("ts").uint64(ev.ts);
             if (ev.ph == 'X')
-                os << ",\"dur\":" << (ev.dur > 0 ? ev.dur : 1);
+                json.key("dur").uint64(ev.dur > 0 ? ev.dur : 1);
             if (ev.ph == 'I')
-                os << ",\"s\":\"t\"";
+                json.key("s").string("t");
             if (!ev.args.empty())
-                os << ",\"args\":{" << ev.args << "}";
-            os << "}";
+                json.key("args").raw(ev.args);
+            json.endObject();
         }
         ++pid;
     }
-    os << "]}";
-    return os.str();
+    return json.endArray().endObject().take();
 }
 
 bool

@@ -36,7 +36,7 @@ struct TraceEvent
     std::uint64_t ts = 0;  ///< Event-count ticks (rendered as us).
     std::uint64_t dur = 0; ///< 'X' events only.
     std::uint32_t tid = 0; ///< Simulated thread (or numCores for machine).
-    std::string args;      ///< Pre-rendered JSON object body, may be empty.
+    std::string args;      ///< Pre-rendered JSON object, may be empty.
 };
 
 /** A determinism checkpoint observed during the run, with its trace

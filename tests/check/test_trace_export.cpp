@@ -16,6 +16,8 @@
 
 #include "check/driver.hpp"
 #include "check/trace_export.hpp"
+#include "service/json.hpp"
+#include "sim/chrome_trace.hpp"
 #include "sim/lambda_program.hpp"
 
 namespace icheck::check
@@ -161,6 +163,22 @@ TEST_F(TraceExportTest, MarksHashDivergencesForNondeterministicRuns)
     // One marker per diverging checkpoint in EACH traced run.
     EXPECT_EQ(countOccurrences(text, "HASH DIVERGENCE"),
               2u * static_cast<std::size_t>(result.divergences));
+}
+
+TEST(ChromeTrace, RunLabelWithControlCharactersRoundTrips)
+{
+    const std::string label = "run\x01 one\ttwo";
+    const sim::ChromeTraceBuilder builder(label);
+    const std::string text = sim::renderChromeTrace({&builder});
+    const auto trace = service::parseJson(text);
+    ASSERT_TRUE(trace.has_value()) << text;
+    const service::JsonValue *events = trace->find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_FALSE(events->items.empty());
+    const service::JsonValue *args = events->items[0].find("args");
+    ASSERT_NE(args, nullptr);
+    ASSERT_NE(args->find("name"), nullptr);
+    EXPECT_EQ(args->find("name")->text, label);
 }
 
 } // namespace

@@ -336,11 +336,11 @@ TEST(Dpor, StatsJsonCarriesTheDporCounters)
         explore(figure1Racy(), machineConfig(),
                 exploreConfig(PruneMode::None, true));
     const std::string json = renderStatsJson(dpor.stats);
-    EXPECT_NE(json.find("\"dpor\": true"), std::string::npos);
-    EXPECT_NE(json.find("\"traces_explored\": "), std::string::npos);
-    EXPECT_NE(json.find("\"backtracks_inserted\": "), std::string::npos);
-    EXPECT_NE(json.find("\"sleep_set_hits\": "), std::string::npos);
-    EXPECT_NE(json.find("\"dpor_pruned\": "), std::string::npos);
+    EXPECT_NE(json.find("\"dpor\":true"), std::string::npos);
+    EXPECT_NE(json.find("\"traces_explored\":"), std::string::npos);
+    EXPECT_NE(json.find("\"backtracks_inserted\":"), std::string::npos);
+    EXPECT_NE(json.find("\"sleep_set_hits\":"), std::string::npos);
+    EXPECT_NE(json.find("\"dpor_pruned\":"), std::string::npos);
 }
 
 TEST(Dpor, RespectsMaxRuns)

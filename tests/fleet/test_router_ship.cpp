@@ -27,6 +27,7 @@
 #include "fleet/fleet_config.hpp"
 #include "fleet/hash_ring.hpp"
 #include "fleet/router.hpp"
+#include "service/json.hpp"
 #include "service/protocol.hpp"
 
 namespace fleet = icheck::fleet;
@@ -341,6 +342,68 @@ TEST(RouterShip, CheckRoutedToADeadOwnerBeforeFailoverIsReDispatched)
               std::future_status::ready);
     EXPECT_EQ(response.get(), heir_response);
     EXPECT_EQ(router.stats().failovers, 1u);
+}
+
+TEST(RouterShip, StatsCarryEachBackendStatsObjectByteForByte)
+{
+    const std::string path = socketPath("stats");
+    FakeBackend backend(path);
+    ASSERT_TRUE(backend.listen());
+
+    fleet::Router router(oneBackendTopology(path, /*sync_ship=*/false),
+                         "/nonexistent/router.sock");
+    ASSERT_TRUE(router.start());
+    ASSERT_TRUE(backend.acceptOne());
+
+    // handleClientLine answers stats on the calling thread once every
+    // backend has replied, so the client runs on its own thread.
+    std::future<std::string> response =
+        std::async(std::launch::async, [&router] {
+            std::string answer;
+            router.handleClientLine(
+                "{\"id\":\"s1\",\"op\":\"stats\"}",
+                [&answer](const std::string &line) { answer = line; });
+            return answer;
+        });
+    std::string forwarded;
+    do {
+        forwarded = backend.readLine();
+    } while (!forwarded.empty() &&
+             forwarded.find("\"op\":\"stats\"") == std::string::npos);
+    ASSERT_NE(forwarded.find("\"id\":\"s1\""), std::string::npos);
+
+    // Number lexemes a parse-and-re-render would respell (trailing
+    // zeros, fixed digits) must come back exactly as sent.
+    const std::string stats =
+        "{\"requestsCompleted\":7,\"checksCompleted\":3,"
+        "\"unitsExecuted\":12,\"unitsReused\":4,"
+        "\"dedupHitRate\":0.2500,\"uptimeSeconds\":10.000,"
+        "\"requestsPerSec\":0.70,\"storeKeys\":18,"
+        "\"storeBytes\":4096,\"framesAppended\":19}";
+    ASSERT_TRUE(backend.sendLine("{\"id\":\"s1\",\"status\":\"ok\","
+                                 "\"stats\":" +
+                                 stats + "}"));
+    ASSERT_EQ(response.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready);
+    const std::string text = response.get();
+    const auto parsed = icheck::service::parseJson(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    const icheck::service::JsonValue *fleet_object = parsed->find("fleet");
+    ASSERT_NE(fleet_object, nullptr);
+    const icheck::service::JsonValue *rows =
+        fleet_object->find("perBackend");
+    ASSERT_NE(rows, nullptr);
+    ASSERT_EQ(rows->items.size(), 1u);
+    const icheck::service::JsonValue *row_stats =
+        rows->items[0].find("stats");
+    ASSERT_NE(row_stats, nullptr);
+    EXPECT_EQ(row_stats->members.size(), 10u);
+    EXPECT_NE(text.find(",\"stats\":" + stats + "}"), std::string::npos)
+        << text;
+    EXPECT_EQ(*fleet_object->find("aggregate")
+                   ->find("unitsExecuted")
+                   ->asU64(),
+              12u);
 }
 
 TEST(RouterShip, FailedStartClosesTheBackendsThatDidConnect)

@@ -92,12 +92,6 @@ TEST(Sarif, EscapesMessageText)
               std::string::npos);
 }
 
-TEST(Sarif, JsonEscapeHandlesControlCharacters)
-{
-    EXPECT_EQ(jsonEscape("a\x01z"), "a\\u0001z");
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-}
-
 TEST(Sarif, RenderingIsDeterministic)
 {
     const auto findings = sampleFindings();

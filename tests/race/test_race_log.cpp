@@ -13,6 +13,7 @@
 #include "apps/apps.hpp"
 #include "race/race_detector.hpp"
 #include "race/race_log.hpp"
+#include "racelog.hpp"
 #include "sim/lambda_program.hpp"
 #include "sim/machine.hpp"
 #include "sim/trace_listener.hpp"
@@ -111,6 +112,26 @@ TEST(RaceLog, JsonlSerializationRoundTrips)
                         "\"src/apps/apps_fp.cpp\",\"line\":275}"),
               std::string::npos);
     EXPECT_EQ(line.back(), '\n');
+}
+
+TEST(RaceLog, EscapedEndpointFileRoundTripsThroughTheLintReader)
+{
+    AttributedRace race;
+    race.record = {0x1000, 0, 3, RaceKind::WriteRead};
+    race.symbol = "global:kinetic+0x0";
+    race.first = {"dir\\with\ttab/apps_fp.cpp", 278, 0};
+    race.second = {"src/apps/apps_fp.cpp", 275, 3};
+    std::stringstream log;
+    writeRaceLogJsonl(log, "waterSP", {race});
+    const std::vector<lint::DynamicRace> read = lint::readRaceLog(log);
+    ASSERT_EQ(read.size(), 1u);
+    EXPECT_EQ(read[0].app, "waterSP");
+    EXPECT_EQ(read[0].kind, "write-read");
+    EXPECT_EQ(read[0].symbol, race.symbol);
+    EXPECT_EQ(read[0].first.file, race.first.file);
+    EXPECT_EQ(read[0].first.line, 278);
+    EXPECT_EQ(read[0].second.file, race.second.file);
+    EXPECT_EQ(read[0].second.tid, 3);
 }
 
 TEST(RaceLog, ExportsSeededWaterSPBugWithAppAttribution)

@@ -358,6 +358,38 @@ TEST(Service, PingStatsAndDrain)
     EXPECT_TRUE(service.drainRequested());
 }
 
+TEST(Service, StatsForAMaxLengthIdCarryEveryFieldInOrder)
+{
+    Service service(ServiceConfig{});
+    const std::string id(128, 'i'); // The longest id the protocol takes.
+    const std::string response =
+        service.handleLine("{\"id\":\"" + id + "\",\"op\":\"stats\"}");
+    const auto parsed = parseJson(response);
+    ASSERT_TRUE(parsed.has_value()) << response;
+    ASSERT_NE(parsed->find("id"), nullptr);
+    EXPECT_EQ(parsed->find("id")->text, id);
+    const JsonValue *stats = parsed->find("stats");
+    ASSERT_NE(stats, nullptr);
+    const std::vector<std::string> expected = {
+        "requestsCompleted", "checksCompleted",  "protocolErrors",
+        "checkErrors",       "busyRejected",     "drainRejected",
+        "responsesCached",   "unitsExecuted",    "unitsReused",
+        "dedupHitRate",      "queueDepth",       "inFlight",
+        "uptimeSeconds",     "requestsPerSec",   "storeKeys",
+        "storeBytes",        "framesAppended",   "framesInstalled",
+        "storeFramesLoaded", "storeBytesDropped"};
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : stats->members) {
+        keys.push_back(key);
+        EXPECT_TRUE(value.isNumber()) << key;
+    }
+    EXPECT_EQ(keys, expected);
+    // Fixed-digit spellings: dedupHitRate "%.4f", uptimeSeconds "%.3f".
+    EXPECT_EQ(stats->find("dedupHitRate")->text, "0.0000");
+    const std::string &uptime = stats->find("uptimeSeconds")->text;
+    EXPECT_EQ(uptime.size() - uptime.find('.'), 4u) << uptime;
+}
+
 TEST(ServeLoop, AppliesBackpressureWhenTheQueueIsFull)
 {
     Service service(ServiceConfig{});

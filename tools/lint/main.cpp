@@ -26,6 +26,7 @@
 
 #include "linter.hpp"
 #include "sarif.hpp"
+#include "support/json_writer.hpp"
 
 namespace
 {
@@ -163,12 +164,15 @@ main(int argc, char **argv)
     for (const KeyedFinding &entry : fresh) {
         const RuleInfo &info = ruleInfo(entry.finding.rule);
         if (jsonl) {
-            std::cout << "{\"file\":\"" << jsonEscape(entry.finding.file)
-                      << "\",\"line\":" << entry.finding.line
-                      << ",\"rule\":\"" << info.id << "\",\"severity\":\""
-                      << severityName(entry.finding.severity)
-                      << "\",\"message\":\""
-                      << jsonEscape(entry.finding.message) << "\"}\n";
+            icheck::JsonWriter json;
+            json.beginObject()
+                .key("file").string(entry.finding.file)
+                .key("line").int64(entry.finding.line)
+                .key("rule").string(info.id)
+                .key("severity").string(severityName(entry.finding.severity))
+                .key("message").string(entry.finding.message)
+                .endObject();
+            std::cout << json.take() << "\n";
             continue;
         }
         std::cout << entry.finding.file << ":" << entry.finding.line

@@ -1,7 +1,8 @@
 #include "racelog.hpp"
 
-#include <cstdlib>
 #include <istream>
+
+#include "service/json.hpp"
 
 namespace icheck::lint
 {
@@ -9,69 +10,33 @@ namespace icheck::lint
 namespace
 {
 
-/**
- * Value of `"key":"…"` inside @p text, or "" if absent. The race-log
- * writer escapes only backslash/quote/control characters; unescaping
- * the first two covers every path it can emit.
- */
+using service::JsonValue;
+
+/** The string member @p key of @p object, or "" if absent. */
 std::string
-stringField(const std::string &text, const std::string &key)
+stringMember(const JsonValue &object, const char *key)
 {
-    const std::string needle = "\"" + key + "\":\"";
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos)
-        return "";
-    std::string value;
-    for (std::size_t i = at + needle.size(); i < text.size(); ++i) {
-        if (text[i] == '\\' && i + 1 < text.size()) {
-            value += text[++i];
-            continue;
-        }
-        if (text[i] == '"')
-            return value;
-        value += text[i];
-    }
-    return "";
+    const JsonValue *value = object.find(key);
+    return value != nullptr && value->isString() ? value->text : "";
 }
 
-/** Value of `"key":123`, or 0. */
+/** The unsigned integer member @p key of @p object, or 0 if absent. */
 int
-intField(const std::string &text, const std::string &key)
+intMember(const JsonValue &object, const char *key)
 {
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos)
-        return 0;
-    return std::atoi(text.c_str() + at + needle.size());
-}
-
-/** The braced object after `"key":{`, or "" if absent. */
-std::string
-objectField(const std::string &text, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":{";
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos)
-        return "";
-    const std::size_t open = at + needle.size() - 1;
-    int depth = 0;
-    for (std::size_t i = open; i < text.size(); ++i) {
-        if (text[i] == '{')
-            ++depth;
-        else if (text[i] == '}' && --depth == 0)
-            return text.substr(open, i - open + 1);
-    }
-    return "";
+    const JsonValue *value = object.find(key);
+    return value != nullptr ? static_cast<int>(value->asU64().value_or(0))
+                            : 0;
 }
 
 bool
-parseEndpoint(const std::string &object, RaceEndpoint &endpoint)
+parseEndpoint(const JsonValue *object, RaceEndpoint &endpoint)
 {
-    if (object.empty())
+    if (object == nullptr || !object->isObject())
         return false;
-    endpoint.file = stringField(object, "file");
-    endpoint.line = intField(object, "line");
-    endpoint.tid = intField(object, "tid");
+    endpoint.file = stringMember(*object, "file");
+    endpoint.line = intMember(*object, "line");
+    endpoint.tid = intMember(*object, "tid");
     return !endpoint.file.empty() && endpoint.line > 0;
 }
 
@@ -83,14 +48,17 @@ readRaceLog(std::istream &in)
     std::vector<DynamicRace> races;
     std::string line;
     while (std::getline(in, line)) {
+        const auto record = service::parseJson(line);
+        if (!record.has_value() || !record->isObject())
+            continue;
         DynamicRace race;
-        race.app = stringField(line, "app");
-        race.kind = stringField(line, "kind");
-        race.symbol = stringField(line, "symbol");
+        race.app = stringMember(*record, "app");
+        race.kind = stringMember(*record, "kind");
+        race.symbol = stringMember(*record, "symbol");
         const bool first_ok =
-            parseEndpoint(objectField(line, "first"), race.first);
+            parseEndpoint(record->find("first"), race.first);
         const bool second_ok =
-            parseEndpoint(objectField(line, "second"), race.second);
+            parseEndpoint(record->find("second"), race.second);
         // A record is useful once either endpoint carries attribution;
         // unattributed endpoints keep line 0 and never match anything.
         if (!race.kind.empty() && (first_ok || second_ok))

@@ -1,97 +1,77 @@
 #include "sarif.hpp"
 
-#include <cstdio>
+#include "support/json_writer.hpp"
 
 namespace icheck::lint
 {
 
-namespace
-{
-
-/** A finding's stable fingerprint: the fnv1a64 of its baseline key. */
-std::string
-fingerprint(const KeyedFinding &finding)
-{
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(finding.key)));
-    return buffer;
-}
-
-} // namespace
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string escaped;
-    escaped.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"':  escaped += "\\\""; break;
-          case '\\': escaped += "\\\\"; break;
-          case '\n': escaped += "\\n"; break;
-          case '\r': escaped += "\\r"; break;
-          case '\t': escaped += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-                escaped += buffer;
-            } else {
-                escaped += c;
-            }
-        }
-    }
-    return escaped;
-}
-
 std::string
 renderSarif(const std::vector<KeyedFinding> &findings)
 {
-    std::string out;
-    out += "{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/"
-           "sarif-spec/master/Schemata/sarif-schema-2.1.0.json\","
-           "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{"
-           "\"name\":\"icheck-lint\","
-           "\"informationUri\":\"https://example.invalid/icheck-lint\","
-           "\"version\":\"1.0.0\",\"rules\":[";
-    bool first = true;
+    JsonWriter json;
+    json.beginObject()
+        .key("$schema")
+        .string("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
+                "master/Schemata/sarif-schema-2.1.0.json")
+        .key("version").string("2.1.0")
+        .key("runs")
+        .beginArray()
+        .beginObject()
+        .key("tool")
+        .beginObject()
+        .key("driver")
+        .beginObject()
+        .key("name").string("icheck-lint")
+        .key("informationUri").string("https://example.invalid/icheck-lint")
+        .key("version").string("1.0.0")
+        .key("rules")
+        .beginArray();
     for (const RuleInfo &info : ruleRegistry()) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += "{\"id\":\"";
-        out += info.id;
-        out += "\",\"shortDescription\":{\"text\":\"";
-        out += jsonEscape(info.summary);
-        out += "\"},\"help\":{\"text\":\"";
-        out += jsonEscape(info.hint);
-        out += "\"}}";
+        json.beginObject()
+            .key("id").string(info.id)
+            .key("shortDescription")
+            .beginObject()
+            .key("text").string(info.summary)
+            .endObject()
+            .key("help")
+            .beginObject()
+            .key("text").string(info.hint)
+            .endObject()
+            .endObject();
     }
-    out += "]}},\"results\":[";
-    first = true;
+    json.endArray().endObject().endObject().key("results").beginArray();
     for (const KeyedFinding &entry : findings) {
-        if (!first)
-            out += ',';
-        first = false;
         const Finding &finding = entry.finding;
-        out += "{\"ruleId\":\"";
-        out += ruleInfo(finding.rule).id;
-        out += "\",\"level\":\"";
-        out += severityName(finding.severity);
-        out += "\",\"message\":{\"text\":\"";
-        out += jsonEscape(finding.message);
-        out += "\"},\"locations\":[{\"physicalLocation\":{"
-               "\"artifactLocation\":{\"uri\":\"";
-        out += jsonEscape(finding.file);
-        out += "\"},\"region\":{\"startLine\":";
-        out += std::to_string(finding.line > 0 ? finding.line : 1);
-        out += "}}}],\"partialFingerprints\":{\"icheckLintKey/v1\":\"";
-        out += fingerprint(entry);
-        out += "\"}}";
+        json.beginObject()
+            .key("ruleId").string(ruleInfo(finding.rule).id)
+            .key("level").string(severityName(finding.severity))
+            .key("message")
+            .beginObject()
+            .key("text").string(finding.message)
+            .endObject()
+            .key("locations")
+            .beginArray()
+            .beginObject()
+            .key("physicalLocation")
+            .beginObject()
+            .key("artifactLocation")
+            .beginObject()
+            .key("uri").string(finding.file)
+            .endObject()
+            .key("region")
+            .beginObject()
+            .key("startLine").int64(finding.line > 0 ? finding.line : 1)
+            .endObject()
+            .endObject()
+            .endObject()
+            .endArray()
+            .key("partialFingerprints")
+            .beginObject()
+            .key("icheckLintKey/v1").hex16(fnv1a64(entry.key))
+            .endObject()
+            .endObject();
     }
-    out += "]}]}";
-    return out;
+    return json.endArray().endObject().endArray().endObject().take();
 }
 
 } // namespace icheck::lint

@@ -20,9 +20,6 @@
 namespace icheck::lint
 {
 
-/** Escape for a JSON string body (quotes, backslashes, control chars). */
-std::string jsonEscape(const std::string &text);
-
 /** Render @p findings as a complete SARIF 2.1.0 document. */
 std::string renderSarif(const std::vector<KeyedFinding> &findings);
 

@@ -5,20 +5,20 @@
  * clients and fail unless every response is ok and embeds report bytes
  * identical to the one-shot campaign path.
  *
- * Usage: loadgen [--connect SOCKET | --spawn ICHECK_BIN]
- *                [--store FILE] [--fleet N [--kill-one]]
+ * Usage: loadgen [--connect SOCKET | --spawn ICHECK_BIN [--kill-one]]
+ *                [--store FILE]
  *
  * Targets:
  *   (default)   an in-process Service, called directly;
  *   --connect   a daemon or router already listening on a Unix socket;
  *   --spawn     a fresh `ICHECK_BIN serve` (with --store FILE if given),
  *               drained and reaped at the end;
- *   --fleet N   with --spawn: N `serve` backends behind one
- *               `route --ship sync` router. --kill-one SIGKILLs the
- *               busiest backend halfway through the burst, without
- *               pausing the other client, and also requires the router
- *               to have failed over and reinstalled the dead backend's
- *               replicated frames.
+ *   --kill-one  with --spawn: 3 `serve` backends behind one
+ *               `route --ship sync` router instead. The busiest backend
+ *               is SIGKILLed halfway through the burst, without pausing
+ *               the other client, and the router must also have failed
+ *               over and reinstalled the dead backend's replicated
+ *               frames.
  *
  * The mix is 18 requests from 2 clients cycling apps radix,fft,lu x
  * seeds 1000,1001 at 6 runs of the dev input, so requests 6..17 repeat
@@ -59,6 +59,7 @@
 #include "runtime/parallel_driver.hpp"
 #include "service/daemon.hpp"
 #include "service/json.hpp"
+#include "support/json_writer.hpp"
 
 using namespace icheck;
 
@@ -69,7 +70,7 @@ constexpr int kRequests = 18;
 constexpr int kClients = 2;
 constexpr int kRuns = 6;
 constexpr int kSeeds = 2;
-constexpr int kMaxBackends = 16;
+constexpr int kBackends = 3; ///< Fleet size under --kill-one.
 const std::vector<std::string> kApps = {"radix", "fft", "lu"};
 const std::size_t kCombos = kApps.size() * kSeeds;
 
@@ -95,14 +96,37 @@ buildMix()
         entry.combo = static_cast<std::size_t>(i) % kCombos;
         entry.app = kApps[entry.combo % kApps.size()];
         entry.seed = 1000 + entry.combo / kApps.size();
-        entry.line = "{\"id\":\"lg-" + std::to_string(i) +
-                     "\",\"op\":\"check\",\"app\":\"" + entry.app +
-                     "\",\"runs\":" + std::to_string(kRuns) +
-                     ",\"seed\":" + std::to_string(entry.seed) +
-                     ",\"input\":\"dev\"}";
+        entry.line = JsonWriter()
+                         .beginObject()
+                         .key("id").string("lg-" + std::to_string(i))
+                         .key("op").string("check")
+                         .key("app").string(entry.app)
+                         .key("runs").int64(kRuns)
+                         .key("seed").uint64(entry.seed)
+                         .key("input").string("dev")
+                         .endObject().take();
         mix.push_back(std::move(entry));
     }
     return mix;
+}
+
+/** A request line that carries only an id and an op. */
+std::string
+bareRequest(const char *id, const char *op)
+{
+    return JsonWriter()
+        .beginObject()
+        .key("id").string(id)
+        .key("op").string(op)
+        .endObject().take();
+}
+
+/** True when @p response carries "status":"ok". */
+bool
+statusOk(const service::JsonValue &response)
+{
+    const service::JsonValue *status = response.find("status");
+    return status != nullptr && status->text == "ok";
 }
 
 /** Connect to a Unix stream socket; -1 on failure. */
@@ -195,7 +219,11 @@ oneShotReport(const MixEntry &entry)
     return check::renderReportJson(report);
 }
 
-/** Extract the embedded "report":{...} object from an ok response. */
+/**
+ * Extract the embedded "report":{...} object from an ok response. It is
+ * sliced from the raw bytes rather than parsed: the check is byte
+ * identity, which a parse and re-render could not see.
+ */
 std::string
 embeddedReport(const std::string &response)
 {
@@ -311,15 +339,15 @@ reap(const Target &target, bool abandon, const std::vector<pid_t> &killed)
     return clean;
 }
 
-/** Bring up @p backends `serve` backends behind a sync-ship router. */
+/** Bring up kBackends `serve` backends behind a sync-ship router. */
 bool
-spawnFleet(Target &target, const std::string &bin, int backends)
+spawnFleet(Target &target, const std::string &bin)
 {
     const std::string prefix = "loadgen-" + std::to_string(::getpid());
     target.socket = prefix + "-router.sock";
     std::vector<std::string> route_args = {
         bin, "route", "--socket", target.socket, "--ship", "sync"};
-    for (int b = 0; b < backends; ++b) {
+    for (int b = 0; b < kBackends; ++b) {
         const std::string name = "b" + std::to_string(b);
         const std::string socket = prefix + "-" + name + ".sock";
         if (!launch(target, {bin, "serve", "--socket", socket}, socket))
@@ -345,8 +373,7 @@ killBusiestBackend(const Target &target)
     std::uint64_t busiest = 0;
     const service::JsonValue before =
         service::parseJson(
-            oneShotRequest(target.socket,
-                           "{\"id\":\"lg-kill\",\"op\":\"stats\"}"))
+            oneShotRequest(target.socket, bareRequest("lg-kill", "stats")))
             .value_or(service::JsonValue{});
     const service::JsonValue *fleet = before.find("fleet");
     const service::JsonValue *rows =
@@ -442,8 +469,8 @@ usage(const char *problem)
 {
     std::fprintf(stderr,
                  "loadgen: %s\n"
-                 "usage: loadgen [--connect SOCKET | --spawn ICHECK_BIN] "
-                 "[--store FILE] [--fleet N [--kill-one]]\n",
+                 "usage: loadgen [--connect SOCKET | --spawn ICHECK_BIN "
+                 "[--kill-one]] [--store FILE]\n",
                  problem);
     return 2;
 }
@@ -456,7 +483,6 @@ main(int argc, char **argv)
     std::string connect_path;
     std::string spawn_bin;
     std::string store_path;
-    long backends = 0;
     bool kill_one = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -470,13 +496,6 @@ main(int argc, char **argv)
             spawn_bin = argv[++i];
         } else if (arg == "--store" && has_value) {
             store_path = argv[++i];
-        } else if (arg == "--fleet" && has_value) {
-            char *end = nullptr;
-            backends = std::strtol(argv[++i], &end, 10);
-            if (*end != '\0' || backends < 1 || backends > kMaxBackends)
-                return usage(("--fleet takes a backend count in [1, " +
-                              std::to_string(kMaxBackends) + "]")
-                                 .c_str());
         } else {
             return usage(("unknown argument " + arg).c_str());
         }
@@ -485,15 +504,13 @@ main(int argc, char **argv)
         return usage("--connect and --spawn are mutually exclusive");
     if (!connect_path.empty() && !store_path.empty())
         return usage("--store needs the in-process target or --spawn");
-    if (backends > 0 && (spawn_bin.empty() || !store_path.empty()))
-        return usage("--fleet needs --spawn and takes no --store");
-    if (kill_one && backends < 2)
-        return usage("--kill-one needs --fleet of at least 2");
+    if (kill_one && (spawn_bin.empty() || !store_path.empty()))
+        return usage("--kill-one needs --spawn and takes no --store");
 
     // --- Set up the target. -------------------------------------------
     Target target;
-    if (backends > 0) {
-        if (!spawnFleet(target, spawn_bin, static_cast<int>(backends))) {
+    if (kill_one) {
+        if (!spawnFleet(target, spawn_bin)) {
             reap(target, true, {});
             return 3;
         }
@@ -553,21 +570,21 @@ main(int argc, char **argv)
         runBurst(mix, channels, kill_hook);
     const auto answered_ok = static_cast<std::size_t>(std::count_if(
         responses.begin(), responses.end(), [](const std::string &r) {
-            return r.find("\"status\":\"ok\"") != std::string::npos;
+            return statusOk(
+                service::parseJson(r).value_or(service::JsonValue{}));
         }));
     bool ok = answered_ok == mix.size();
 
     // A reply that does not parse reads as null: every count below is 0.
     const service::JsonValue stats =
         service::parseJson(
-            channels[0]("{\"id\":\"lg-stats\",\"op\":\"stats\"}"))
+            channels[0](bareRequest("lg-stats", "stats")))
             .value_or(service::JsonValue{});
     const bool routed = stats.find("fleet") != nullptr;
     const std::uint64_t units_executed =
         routed ? jsonPathU64(stats, {"fleet", "aggregate", "unitsExecuted"})
                : jsonPathU64(stats, {"stats", "unitsExecuted"});
-    if (stats.find("status") == nullptr ||
-        stats.find("status")->text != "ok") {
+    if (!statusOk(stats)) {
         std::fprintf(stderr, "the target's stats request failed\n");
         ok = false;
     }
@@ -592,7 +609,7 @@ main(int argc, char **argv)
 
     // --- Drain and reap what loadgen spawned. -------------------------
     if (!target.pids.empty())
-        channels[0]("{\"id\":\"lg-drain\",\"op\":\"drain\"}");
+        channels[0](bareRequest("lg-drain", "drain"));
     for (const int fd : fds)
         ::close(fd);
     if (!reap(target, false, killed))
